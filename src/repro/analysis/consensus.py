@@ -17,9 +17,20 @@ from repro.cloud.cloud import FrustrationCloud, sample_cloud
 from repro.graph.components import largest_connected_component
 from repro.graph.csr import SignedGraph
 from repro.perf.compat import PhaseTimer
+from repro.perf.export import phase_seconds
 from repro.rng import SeedLike
 
 __all__ = ["ConsensusReport", "analyze_consensus"]
+
+#: Campaign span (leaf name) -> the report's phase.
+_CAMPAIGN_PHASES = {
+    "tree_sample": "tree_generation",
+    "labeling": "labeling",
+    "walk_kernel": "cycle_processing",
+    "lockstep_kernel": "cycle_processing",
+    "parity_kernel": "cycle_processing",
+    "harary": "harary_and_status",
+}
 
 
 @dataclass(frozen=True)
@@ -70,13 +81,13 @@ def analyze_consensus(
     with timers.phase("largest_component"):
         component, original_ids = largest_connected_component(graph)
     cloud: FrustrationCloud = sample_cloud(
-        component,
-        num_states,
-        method=method,
-        kernel=kernel,
-        seed=seed,
-        timers=timers,
+        component, num_states, method=method, kernel=kernel, seed=seed,
     )
+    # The campaign's own phases come from its spans.
+    spans = phase_seconds(getattr(cloud, "metrics", None) or {})
+    for span_name, phase in _CAMPAIGN_PHASES.items():
+        if span_name in spans:
+            timers.add(phase, spans[span_name])
     with timers.phase("attributes"):
         report = ConsensusReport(
             component=component,

@@ -205,7 +205,6 @@ def _run_cloud_campaign(args, sub, policy):
     (``--journal`` / ``--trace-out``) can wrap exactly the campaign.
     """
     from repro.cloud import sample_cloud
-    from repro.cloud.cloud import auto_batch_size
     from repro.parallel.pool import sample_cloud_pool
 
     if args.shard_workers is not None:
@@ -222,83 +221,36 @@ def _run_cloud_campaign(args, sub, policy):
             args.steal_chunks = min(8 * args.shard_workers, args.states)
     store = _resolve_graph_store(args, sub)
 
-    # Fresh campaigns fall back to the historical defaults; on --resume,
-    # parameters the user did not spell out are inherited from (and
-    # explicit ones validated against) the checkpoint's campaign.
-    method = args.method if args.method is not None else "bfs"
-    seed = args.seed if args.seed is not None else 0
-    # --batch-size auto resolves against the (sub)graph up front so
-    # every driver — and the checkpoint metadata — sees a concrete int.
-    if args.batch_size == "auto":
-        args.batch_size = auto_batch_size(sub.num_vertices)
-        print(f"auto batch size: {args.batch_size}")
-    batch_size = args.batch_size if args.batch_size is not None else 1
-    swaps = (
-        args.swaps_per_state if args.swaps_per_state is not None else 1
+    # Parameters left unset inherit from (and explicit ones are checked
+    # against) a resumed checkpoint; a fresh campaign defaults to seed 0.
+    campaign = dict(
+        method=args.method, batch_size=args.batch_size,
+        seed=args.seed if args.seed is not None or args.resume else 0,
+        swaps_per_state=args.swaps_per_state,
+        checkpoint_path=args.checkpoint,
+        keep_checkpoints=args.keep_checkpoints,
     )
+    pooled = args.workers > 1 or policy is not None or store is not None
     if args.resume:
-        from repro.cloud.checkpoint import (
-            recover_cloud,
-            resume_cloud,
-            validate_campaign,
-        )
+        from repro.cloud.checkpoint import recover_cloud, resume_cloud
 
         cloud, meta, source = recover_cloud(args.resume, sub)
         print(f"resuming from {source} ({cloud.num_states} states)")
-        if meta is not None and meta.done_blocks is not None:
-            # Pool-salvage checkpoint: rerun only the missing blocks.
-            params = validate_campaign(
-                meta, method=args.method, seed=args.seed,
-                batch_size=args.batch_size,
-                swaps_per_state=args.swaps_per_state,
+        if not pooled and (meta is None or meta.done_blocks is None):
+            return resume_cloud(
+                cloud, args.states, checkpoint_every=args.checkpoint_every,
+                **campaign,
             )
-            return sample_cloud_pool(
-                sub, args.states, workers=max(args.workers, 1),
-                method=params["method"], kernel=params["kernel"],
-                seed=params["seed"], batch_size=params["batch_size"],
-                store_states=params["store_states"],
-                swaps_per_state=params["swaps_per_state"],
-                checkpoint_path=args.checkpoint,
-                keep_checkpoints=args.keep_checkpoints,
-                resume_from=source,
-                policy=policy,
-                graph_store=store,
-                steal_chunks=args.steal_chunks,
-                flight_dir=args.flight_dir,
-            )
-        return resume_cloud(
-            cloud,
-            args.states,
-            method=args.method,
-            seed=args.seed,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            batch_size=args.batch_size,
-            keep_checkpoints=args.keep_checkpoints,
-            swaps_per_state=args.swaps_per_state,
-        )
-    if args.workers > 1 or policy is not None or store is not None:
-        # A retry policy routes even --workers 1 through the pool
-        # driver: the supervisor's in-process ladder lives there.
+        # A salvage checkpoint reruns only its missing blocks.
+        campaign["resume_from"] = source
+    if pooled or args.resume:
         return sample_cloud_pool(
-            sub, args.states, workers=args.workers,
-            method=method, seed=seed,
-            batch_size=batch_size,
-            swaps_per_state=swaps,
-            checkpoint_path=args.checkpoint,
-            keep_checkpoints=args.keep_checkpoints,
-            policy=policy,
-            graph_store=store,
-            steal_chunks=args.steal_chunks,
-            flight_dir=args.flight_dir,
+            sub, args.states, workers=args.workers, policy=policy,
+            graph_store=store, steal_chunks=args.steal_chunks,
+            flight_dir=args.flight_dir, **campaign,
         )
     return sample_cloud(
-        sub, args.states, method=method, seed=seed,
-        batch_size=batch_size,
-        swaps_per_state=swaps,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        keep_checkpoints=args.keep_checkpoints,
+        sub, args.states, checkpoint_every=args.checkpoint_every, **campaign
     )
 
 

@@ -1,30 +1,20 @@
-"""Crash-safe cloud checkpointing: save, load, recover, and resume.
-
-A 1000-state campaign on a large graph can run for hours in pure
-Python; production runs need to survive restarts *and* crashes.  The
-checkpoint layer therefore provides three guarantees:
+"""Crash-safe cloud checkpointing: the campaign spec, save, load,
+recover, and resume.
 
 * **Atomic, self-describing writes** (format v2).  :func:`save_cloud`
-  writes the accumulators to a temp file, fsyncs, and publishes with
-  ``os.replace`` — a kill at any instant leaves either the previous
-  checkpoint or the new one, never a torn file.  The payload embeds the
-  campaign metadata (:class:`CampaignMeta`: method, kernel, seed,
-  batch size, store_states) next to the graph fingerprint, so a
-  checkpoint fully describes how to continue it.
-* **Rotation + recovery.**  ``save_cloud(..., keep=K)`` rotates the
-  last K good checkpoints (``path``, ``path.1``, …) and
-  :func:`recover_cloud` falls back to the newest loadable one when the
-  latest is truncated or corrupt.  Every array is shape-validated
-  against the graph, so damage surfaces as a clear
-  :class:`~repro.errors.CheckpointError` instead of a cryptic numpy
-  crash deep inside an attribute computation.
-* **Validated resume.**  :func:`resume_cloud` continues a seeded
-  campaign from state ``cloud.num_states`` onward, bit-identical to an
-  uninterrupted run (tested under fault injection — see
-  :mod:`repro.util.faults`).  When the checkpoint carries campaign
-  metadata, resume parameters left as ``None`` are inherited from it
-  and explicitly passed parameters are checked against it; a mismatch
-  raises instead of silently producing a divergent cloud.
+  writes to a temp file, fsyncs, and publishes with ``os.replace``, so
+  a kill at any instant leaves the previous checkpoint or the new one,
+  never a torn file.  The payload embeds the campaign spec
+  (:class:`CampaignMeta`) next to the graph fingerprint.
+* **Rotation + recovery.**  ``save_cloud(..., keep=K)`` keeps the last
+  K checkpoints (``path``, ``path.1``, …) and :func:`recover_cloud`
+  falls back to the newest loadable one.  Every array is shape-checked
+  against the graph, so damage surfaces as a
+  :class:`~repro.errors.CheckpointError`.
+* **Validated resume.**  :func:`resume_cloud` continues a campaign from
+  state ``cloud.num_states``, bit-identical to an uninterrupted run;
+  unset parameters inherit the stored spec and explicit ones must
+  match it.
 """
 
 from __future__ import annotations
@@ -39,20 +29,16 @@ from typing import IO, Callable, Iterator, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import BATCHED_KERNELS, FrustrationCloud
-from repro.core.balancer import balance
-from repro.errors import CheckpointError, EngineError, ReproError
+from repro.cloud.cloud import BATCHED_KERNELS, FrustrationCloud, auto_batch_size
+from repro.errors import CheckpointError, EngineError
 from repro.graph.csr import SignedGraph
 
-# Canonical fingerprint lives with the on-disk graph store so that
-# checkpoints, store files, and in-memory graphs all hash identically;
-# re-exported here for backward compatibility.
-from repro.graph.store import graph_fingerprint
+# The canonical fingerprint lives with the graph store (re-exported).
+from repro.graph.store import GraphStore, graph_fingerprint
 from repro.perf.journal import journal_event
 from repro.perf.registry import get_registry
 from repro.perf.tracing import span
 from repro.rng import freeze_seed
-from repro.trees.sampler import TreeSampler
 
 __all__ = [
     "CampaignMeta",
@@ -72,30 +58,37 @@ PathLike = Union[str, Path]
 _FORMAT_VERSION = 2
 _COMPAT_VERSIONS = (1, 2)
 
-# Fault-injection seams (see repro.util.faults): the atomic-write path
-# goes through these module attributes so crash tests can simulate a
-# kill mid-write or just before the publishing rename without touching
-# the real os module.
+# Fault-injection seams (see repro.util.faults): crash tests kill the
+# atomic write mid-stream or before the publishing rename through these.
 _replace: Callable[..., None] = os.replace
 _wrap_stream: Callable[[IO[bytes]], IO[bytes]] = lambda fh: fh
 
 
+#: Default campaign parameters (what a checkpoint without a spec implies).
+_CAMPAIGN_DEFAULTS = {
+    "method": "bfs",
+    "kernel": "lockstep",
+    "seed": 0,
+    "batch_size": 1,
+    "store_states": False,
+    "swaps_per_state": 1,
+}
+
+
 @dataclass(frozen=True)
 class CampaignMeta:
-    """The parameters that determine a campaign's exact state sequence.
+    """The campaign spec: the parameters that determine a campaign's
+    exact state sequence, validated on construction (invalid values
+    raise :class:`~repro.errors.EngineError`).  Entry points build it
+    with :meth:`build`; every checkpoint stores it.
 
-    ``done_blocks`` is ``None`` for a normal checkpoint (states
-    ``0 .. num_states-1`` are a contiguous prefix of the campaign) and
-    a tuple of ``(start, stop, step)`` index blocks for a pool-salvage
-    checkpoint, where only those blocks completed before a sibling
-    worker crashed (see :func:`repro.parallel.pool.sample_cloud_pool`).
-
-    ``quarantined_blocks`` records blocks the self-healing supervisor
-    (:mod:`repro.parallel.supervisor`) gave up on after exhausting its
-    retry ladder.  They are never part of ``done_blocks``, so a resume
-    re-attempts exactly them; recording them separately lets the resume
-    (and operators) see *which* missing blocks were poison rather than
-    merely unreached.
+    ``graph_store`` is the path of the packed
+    :class:`~repro.graph.store.GraphStore` the campaign runs against —
+    advisory, since the checkpoint's fingerprint pins the graph.
+    ``done_blocks`` is ``None`` for a contiguous prefix, else the
+    ``(start, stop, step)`` blocks that completed before the campaign
+    stopped; ``quarantined_blocks`` are the blocks the supervisor gave
+    up on (a resume re-attempts them).
     """
 
     method: str
@@ -103,25 +96,84 @@ class CampaignMeta:
     seed: int
     batch_size: int
     store_states: bool
-    # Swap-chain stride (method="swap" only); 1 for every other method,
-    # and the implicit value of checkpoints written before the chain
-    # engine existed.
+    # Swap-chain stride (method="swap" only); 1 for every other method.
     swaps_per_state: int = 1
-    # Path of the packed GraphStore file the campaign ran against, when
-    # it used the zero-copy pool path.  Advisory, not part of resume
-    # validation: the graph's identity is already pinned by the
-    # checkpoint-level fingerprint, and the store may legitimately live
-    # at a different path (or be absent) on the resuming machine.  When
-    # the recorded store still exists, the pool resume cross-checks its
-    # header fingerprint against the graph before trusting it.
     graph_store: str | None = None
     done_blocks: Tuple[Tuple[int, int, int], ...] | None = None
     quarantined_blocks: Tuple[Tuple[int, int, int], ...] | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "swaps_per_state"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise EngineError(
+                    f"{name} must be a positive int"
+                    + (" or 'auto'" if name == "batch_size" else "")
+                    + f", got {value!r}"
+                )
+        # The swap chain emits balanced states directly, so only tree
+        # methods going through the parity engine need a batched kernel.
+        if (
+            self.method != "swap"
+            and self.batch_size > 1
+            and self.kernel not in BATCHED_KERNELS
+        ):
+            raise EngineError(
+                f"kernel {self.kernel!r} has no batched implementation; "
+                f"use batch_size=1 or one of {BATCHED_KERNELS}"
+            )
 
-# ----------------------------------------------------------------------
-# Atomic write + rotation
-# ----------------------------------------------------------------------
+    @classmethod
+    def build(
+        cls,
+        graph: SignedGraph,
+        stored: "CampaignMeta | None" = None,
+        *,
+        graph_store=None,
+        **given,
+    ) -> "CampaignMeta":
+        """The spec for a campaign over *graph*: resolves
+        ``batch_size="auto"`` and freezes the seed.  *given* values left
+        ``None`` inherit from *stored* (or the defaults); explicit ones
+        that disagree with it raise :class:`~repro.errors.
+        CheckpointError`.  *graph_store* (a path or an open store) must
+        hold *graph*; when omitted, the stored campaign's is kept.
+        """
+        if given.get("batch_size") == "auto":
+            given["batch_size"] = auto_batch_size(graph.num_vertices)
+        if given.get("seed") is not None:
+            given["seed"] = freeze_seed(given["seed"])
+        params = dict(_CAMPAIGN_DEFAULTS)
+        if stored is not None:
+            params.update((k, getattr(stored, k)) for k in _CAMPAIGN_DEFAULTS)
+        params.update((k, v) for k, v in given.items() if v is not None)
+        explicit = graph_store is not None
+        if not explicit and stored is not None:
+            graph_store = stored.graph_store
+        if graph_store is not None:
+            fingerprint = getattr(graph_store, "fingerprint", None)
+            graph_store = str(getattr(graph_store, "path", graph_store))
+            if fingerprint is None and (explicit or os.path.exists(graph_store)):
+                fingerprint = GraphStore.read_header(graph_store).fingerprint
+            if fingerprint is not None and fingerprint != graph_fingerprint(graph):
+                raise (EngineError if explicit else CheckpointError)(
+                    f"graph store {graph_store} holds a different graph than "
+                    "the campaign's (fingerprint mismatch); pass "
+                    "store.graph() as the graph, or repack the store"
+                )
+        spec = cls(**params, graph_store=graph_store)
+        validate_campaign(stored, **given)
+        return spec
+
+    def params(self) -> dict:
+        """The campaign parameters as keyword arguments (no block
+        bookkeeping) — what :func:`~repro.parallel.supervisor.
+        run_supervised` and the journal take."""
+        names = (*_CAMPAIGN_DEFAULTS, "graph_store")
+        return {name: getattr(self, name) for name in names}
+
+
+# -- atomic write + rotation -------------------------------------------
 def _backup_path(path: Path, k: int) -> Path:
     return path.with_name(f"{path.name}.{k}")
 
@@ -161,19 +213,13 @@ def save_cloud(
     campaign: CampaignMeta | None = None,
     keep: int = 1,
 ) -> None:
-    """Persist the cloud's accumulators to an NPZ checkpoint at *path*.
+    """Persist the cloud's accumulators to an NPZ checkpoint at exactly
+    *path* (no ``.npz`` suffix is appended).
 
-    The write is atomic: the payload goes to ``<path>.tmp`` first, is
-    flushed and fsynced, and only then renamed over *path* — a crash at
-    any point leaves the previous checkpoint untouched.  The file lands
-    at exactly the requested path (no implicit ``.npz`` suffix is
-    appended, unlike bare ``np.savez_compressed``), so ``load_cloud``
-    on the same string always finds it.
-
-    ``keep >= 2`` additionally rotates the previous checkpoint to
-    ``<path>.1`` (and so on, keeping ``keep`` files total), which lets
-    :func:`recover_cloud` fall back past a checkpoint that was damaged
-    *after* it was written.
+    The write is atomic (``<path>.tmp``, fsync, rename), so a crash
+    leaves the previous checkpoint untouched.  ``keep >= 2`` rotates the
+    previous checkpoint to ``<path>.1`` (and so on, ``keep`` files in
+    all), so :func:`recover_cloud` can fall back past later damage.
     """
     path = Path(path)
     if keep < 1:
@@ -194,11 +240,9 @@ def save_cloud(
             _rotate(path, keep)
             _replace(tmp, path)
         except OSError as exc:
-            # A raw OSError here is an I/O failure (classically ENOSPC)
-            # mid-atomic-write: remove the partial temp file so the
-            # rotation chain stays clean, record what happened, and
-            # surface the failure as a CheckpointError the campaign
-            # layers already know how to degrade on.
+            # An I/O failure (classically ENOSPC) mid-write: drop the
+            # temp file, record it, and raise the CheckpointError the
+            # campaign layers degrade on.
             with contextlib.suppress(OSError):
                 tmp.unlink()
             kind = "disk_full" if exc.errno == errno.ENOSPC else "io_error"
@@ -234,7 +278,9 @@ def _payload(
         "store_states": np.array([int(cloud.store_states)], dtype=np.int64),
         "majority": cloud._majority,
         "majority_sq": cloud._majority_sq,
-        "coalition": cloud._coalition,
+        # The accumulator is the integer sum of (side size - 1); the
+        # file keeps the historical per-state fraction sum.
+        "coalition": cloud._coalition / max(cloud.graph.num_vertices - 1, 1),
         "edge_preserved": cloud._edge_preserved,
         "edge_coside": cloud._edge_coside,
         "flip_counts": cloud.flip_counts(),
@@ -255,34 +301,19 @@ def _payload(
             [cloud._unique[k] for k in keys], dtype=np.int64
         )
     if campaign is not None:
-        payload["campaign_method"] = np.array(campaign.method)
-        payload["campaign_kernel"] = np.array(campaign.kernel)
-        payload["campaign_seed"] = np.array([campaign.seed], dtype=np.int64)
-        payload["campaign_batch_size"] = np.array(
-            [campaign.batch_size], dtype=np.int64
-        )
-        payload["campaign_store_states"] = np.array(
-            [int(campaign.store_states)], dtype=np.int64
-        )
-        payload["campaign_swaps_per_state"] = np.array(
-            [campaign.swaps_per_state], dtype=np.int64
-        )
-        if campaign.graph_store is not None:
-            payload["campaign_graph_store"] = np.array(campaign.graph_store)
-        if campaign.done_blocks is not None:
-            payload["campaign_done_blocks"] = np.asarray(
-                campaign.done_blocks, dtype=np.int64
-            ).reshape(-1, 3)
-        if campaign.quarantined_blocks is not None:
-            payload["campaign_quarantined_blocks"] = np.asarray(
-                campaign.quarantined_blocks, dtype=np.int64
-            ).reshape(-1, 3)
+        for name, value in campaign.params().items():
+            if value is not None:
+                payload[f"campaign_{name}"] = np.array(value)
+        for name in ("done_blocks", "quarantined_blocks"):
+            blocks = getattr(campaign, name)
+            if blocks is not None:
+                payload[f"campaign_{name}"] = np.asarray(
+                    blocks, dtype=np.int64
+                ).reshape(-1, 3)
     return payload
 
 
-# ----------------------------------------------------------------------
-# Load + validation + recovery
-# ----------------------------------------------------------------------
+# -- load + validation + recovery --------------------------------------
 def _scalar(data, key: str, path: Path) -> int:
     try:
         arr = data[key]
@@ -345,14 +376,13 @@ def _restore(
     cloud = FrustrationCloud(graph, store_states=store_states)
     cloud._majority = _array(data, "majority", (n,), np.float64, path)
     cloud._majority_sq = _array(data, "majority_sq", (n,), np.float64, path)
-    cloud._coalition = _array(data, "coalition", (n,), np.float64, path)
+    coalition = _array(data, "coalition", (n,), np.float64, path)
+    cloud._coalition = np.rint(coalition * max(n - 1, 1)).astype(np.int64)
     cloud._edge_preserved = _array(
         data, "edge_preserved", (m,), np.int64, path
     )
     cloud._edge_coside = _array(data, "edge_coside", (m,), np.int64, path)
-    # Restore flip counts through the standard doubling buffer so the
-    # first post-resume append lands in existing headroom instead of
-    # forcing an immediate regrow.
+    # Through the doubling buffer: the next append finds headroom.
     flips = _array(data, "flip_counts", (num_states,), np.int64, path)
     cloud._append_flip_counts(flips)
     cloud.num_states = num_states
@@ -365,15 +395,12 @@ def _restore(
                 f"corrupt checkpoint {path}: store_states set but "
                 f"missing {exc}"
             ) from exc
-        if signs.ndim != 2 or signs.shape[1] != m:
+        if signs.ndim != 2 or signs.shape[1] != m or (
+            counts.shape != signs.shape[:1]
+        ):
             raise CheckpointError(
-                f"corrupt checkpoint {path}: unique_signs has shape "
-                f"{signs.shape}, expected (k, {m})"
-            )
-        if counts.shape != (signs.shape[0],):
-            raise CheckpointError(
-                f"corrupt checkpoint {path}: unique_counts has shape "
-                f"{counts.shape}, expected ({signs.shape[0]},)"
+                f"corrupt checkpoint {path}: unique_signs/unique_counts have "
+                f"shapes {signs.shape}/{counts.shape}, expected (k, {m})/(k,)"
             )
         if int(counts.sum()) != num_states:
             raise CheckpointError(
@@ -400,48 +427,33 @@ def _restore(
 
     meta: CampaignMeta | None = None
     if version >= 2 and "campaign_method" in data.files:
-        done_blocks = None
-        if "campaign_done_blocks" in data.files:
-            blocks = data["campaign_done_blocks"]
-            if blocks.ndim != 2 or blocks.shape[1] != 3:
-                raise CheckpointError(
-                    f"corrupt checkpoint {path}: campaign_done_blocks has "
-                    f"shape {blocks.shape}, expected (k, 3)"
-                )
-            done_blocks = tuple(
-                tuple(int(x) for x in row) for row in blocks.tolist()
-            )
-        quarantined_blocks = None
-        if "campaign_quarantined_blocks" in data.files:
-            blocks = data["campaign_quarantined_blocks"]
-            if blocks.ndim != 2 or blocks.shape[1] != 3:
-                raise CheckpointError(
-                    f"corrupt checkpoint {path}: campaign_quarantined_blocks "
-                    f"has shape {blocks.shape}, expected (k, 3)"
-                )
-            quarantined_blocks = tuple(
-                tuple(int(x) for x in row) for row in blocks.tolist()
-            )
+        def value(name: str, required: bool = True):
+            key = f"campaign_{name}"
+            if key not in data.files:
+                if required:
+                    raise CheckpointError(
+                        f"corrupt checkpoint {path}: missing {key!r}"
+                    )
+                return None
+            arr = data[key]
+            if name.endswith("_blocks"):
+                if arr.ndim != 2 or arr.shape[1] != 3:
+                    raise CheckpointError(
+                        f"corrupt checkpoint {path}: {key} has shape "
+                        f"{arr.shape}, expected (k, 3)"
+                    )
+                return tuple(tuple(int(x) for x in row) for row in arr.tolist())
+            return str(arr[()]) if arr.dtype.kind == "U" else _scalar(data, key, path)
+
         meta = CampaignMeta(
-            method=str(data["campaign_method"][()]),
-            kernel=str(data["campaign_kernel"][()]),
-            seed=_scalar(data, "campaign_seed", path),
-            batch_size=_scalar(data, "campaign_batch_size", path),
-            store_states=bool(_scalar(data, "campaign_store_states", path)),
-            # Checkpoints written before the swap-chain engine carry no
-            # swaps_per_state key; their campaigns implicitly used 1.
-            swaps_per_state=(
-                _scalar(data, "campaign_swaps_per_state", path)
-                if "campaign_swaps_per_state" in data.files
-                else 1
-            ),
-            graph_store=(
-                str(data["campaign_graph_store"][()])
-                if "campaign_graph_store" in data.files
-                else None
-            ),
-            done_blocks=done_blocks,
-            quarantined_blocks=quarantined_blocks,
+            **{k: value(k) for k in ("method", "kernel", "seed", "batch_size")},
+            store_states=bool(value("store_states")),
+            # Checkpoints older than the swap chain imply 1.
+            swaps_per_state=value("swaps_per_state", False) or 1,
+            **{
+                k: value(k, False)
+                for k in ("graph_store", "done_blocks", "quarantined_blocks")
+            },
         )
         if meta.store_states != store_states:
             raise CheckpointError(
@@ -454,13 +466,9 @@ def _restore(
 def load_checkpoint(
     path: PathLike, graph: SignedGraph
 ) -> tuple[FrustrationCloud, CampaignMeta | None]:
-    """Restore a checkpoint and its campaign metadata (``None`` for v1
-    checkpoints, which predate self-description).
-
-    Every failure mode — missing file, torn/truncated zip, bit-flipped
-    payload, wrong graph, wrong array shapes — raises
-    :class:`~repro.errors.CheckpointError`.
-    """
+    """Restore a checkpoint and its campaign spec (``None`` for v1).
+    Every failure mode — missing file, torn zip, bit flips, wrong graph,
+    wrong shapes — raises :class:`~repro.errors.CheckpointError`."""
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -479,13 +487,8 @@ def load_checkpoint(
 
 
 def load_cloud(path: PathLike, graph: SignedGraph) -> FrustrationCloud:
-    """Restore a checkpoint against the graph it was built from.
-
-    Convenience wrapper around :func:`load_checkpoint`; the campaign
-    metadata (when present) is attached to the returned cloud as
-    ``cloud.campaign_meta`` so :func:`resume_cloud` can validate
-    against it.
-    """
+    """Restore a checkpoint against the graph it was built from; its
+    spec rides along as ``cloud.campaign_meta``."""
     cloud, _meta = load_checkpoint(path, graph)
     return cloud
 
@@ -494,12 +497,9 @@ def recover_cloud(
     path: PathLike, graph: SignedGraph
 ) -> tuple[FrustrationCloud, CampaignMeta | None, Path]:
     """Load the newest loadable checkpoint among *path* and its
-    rotation backups (``path.1``, ``path.2``, …).
-
-    Returns ``(cloud, meta, source_path)``.  Raises
-    :class:`~repro.errors.CheckpointError` describing every attempted
-    file when none loads.
-    """
+    backups (``path.1``, …): ``(cloud, meta, source_path)``.  Raises
+    :class:`~repro.errors.CheckpointError` naming every attempt when
+    none loads."""
     path = Path(path)
     attempts: list[str] = []
     for candidate in _candidates(path):
@@ -514,19 +514,7 @@ def recover_cloud(
     )
 
 
-# ----------------------------------------------------------------------
-# Campaign validation + resume
-# ----------------------------------------------------------------------
-_CAMPAIGN_DEFAULTS = {
-    "method": "bfs",
-    "kernel": "lockstep",
-    "seed": 0,
-    "batch_size": 1,
-    "store_states": False,
-    "swaps_per_state": 1,
-}
-
-
+# -- campaign validation + resume --------------------------------------
 def validate_campaign(
     stored: CampaignMeta | None,
     *,
@@ -537,48 +525,34 @@ def validate_campaign(
     store_states: bool | None = None,
     swaps_per_state: int | None = None,
 ) -> dict:
-    """Resolve resume parameters against a stored campaign.
-
-    Parameters left ``None`` inherit the stored value (or the
-    historical default when the checkpoint has no metadata).  A
-    parameter that is explicitly given *and* disagrees with the stored
-    campaign raises :class:`~repro.errors.CheckpointError` — resuming
-    with a different ``(method, kernel, seed, batch_size,
-    swaps_per_state)`` would silently diverge from the original run.
-    """
-    given = {
-        "method": method,
-        "kernel": kernel,
-        "seed": seed,
-        "batch_size": batch_size,
-        "store_states": store_states,
-        "swaps_per_state": swaps_per_state,
-    }
+    """Resolve resume parameters against a stored campaign: ``None``
+    inherits the stored value (or the default); an explicit value that
+    disagrees raises :class:`~repro.errors.CheckpointError`, since the
+    resumed run would silently diverge from the original."""
+    given = dict(
+        method=method, kernel=kernel, seed=seed, batch_size=batch_size,
+        store_states=store_states, swaps_per_state=swaps_per_state,
+    )
     resolved = {}
     for name, value in given.items():
-        stored_value = getattr(stored, name) if stored is not None else None
-        if value is None:
-            resolved[name] = (
-                stored_value if stored is not None else _CAMPAIGN_DEFAULTS[name]
-            )
-        elif stored is not None and value != stored_value:
+        inherited = (
+            getattr(stored, name) if stored is not None
+            else _CAMPAIGN_DEFAULTS[name]
+        )
+        if stored is not None and value is not None and value != inherited:
             raise CheckpointError(
                 f"resume {name}={value!r} does not match the checkpoint's "
-                f"campaign {name}={stored_value!r}; resuming would diverge "
+                f"campaign {name}={inherited!r}; resuming would diverge "
                 "from the original run (pass matching parameters, or omit "
                 "them to inherit the stored campaign)"
             )
-        else:
-            resolved[name] = value
+        resolved[name] = inherited if value is None else value
     return resolved
 
 
 class CheckpointWriter:
-    """Periodic atomic checkpointer bound to one campaign.
-
-    A ``None`` path makes every method a no-op, so campaign drivers can
-    call it unconditionally.
-    """
+    """Periodic atomic checkpointer bound to one campaign (a ``None``
+    path makes every method a no-op)."""
 
     def __init__(
         self,
@@ -609,8 +583,6 @@ class CheckpointWriter:
         save_cloud(cloud, self.path, campaign=self.campaign, keep=self.keep)
         self._since = 0
 
-    final = write
-
 
 def resume_cloud(
     cloud: FrustrationCloud,
@@ -620,26 +592,23 @@ def resume_cloud(
     seed: int | None = None,
     checkpoint_path: PathLike | None = None,
     checkpoint_every: int = 0,
-    batch_size: int | None = None,
+    batch_size: int | str | None = None,
     keep_checkpoints: int = 1,
     campaign: CampaignMeta | None = None,
     swaps_per_state: int | None = None,
 ) -> FrustrationCloud:
-    """Continue a seeded campaign until ``target_states`` states.
+    """Continue a seeded campaign from tree index ``cloud.num_states``
+    to ``target_states`` states, exactly as an uninterrupted run.
 
-    The next tree index is ``cloud.num_states`` — resuming a
-    checkpointed campaign with the same ``(method, kernel, seed,
-    batch_size)`` therefore produces exactly the states an
-    uninterrupted run would have.  When the cloud came from a v2
-    checkpoint (or *campaign* is passed), parameters left ``None``
-    inherit the stored campaign and explicit parameters are validated
-    against it; a conflict raises
-    :class:`~repro.errors.CheckpointError` instead of silently
-    diverging.  Optionally re-checkpoints every ``checkpoint_every``
-    new states (atomic writes, rotating ``keep_checkpoints`` files).
-    ``batch_size > 1`` processes the remaining indices through the
-    tree-batched engine (checkpoints then land on batch boundaries).
+    Parameters left ``None`` inherit the stored spec (the cloud's
+    ``campaign_meta``, or *campaign*), including its graph store;
+    explicit ones that conflict raise
+    :class:`~repro.errors.CheckpointError`.  Re-checkpoints every
+    ``checkpoint_every`` new states when ``checkpoint_path`` is given.
+    Resuming to the current state count is a no-op.
     """
+    from repro.parallel.pool import run_campaign
+
     stored = campaign if campaign is not None else getattr(
         cloud, "campaign_meta", None
     )
@@ -650,72 +619,14 @@ def resume_cloud(
             "sample_cloud_pool(..., resume_from=...) or the CLI "
             "`cloud --resume --workers`"
         )
-    params = validate_campaign(
-        stored,
-        method=method,
-        kernel=kernel,
-        seed=seed,
-        batch_size=batch_size,
-        store_states=cloud.store_states,
+    spec = CampaignMeta.build(
+        cloud.graph, stored, method=method, kernel=kernel, seed=seed,
+        batch_size=batch_size, store_states=cloud.store_states,
         swaps_per_state=swaps_per_state,
     )
-    method = params["method"]
-    kernel = params["kernel"]
-    batch_size = params["batch_size"]
-    swaps_per_state = params["swaps_per_state"]
-    if batch_size < 1:
-        raise ReproError("batch_size must be positive")
-    if method != "swap" and batch_size > 1 and kernel not in BATCHED_KERNELS:
-        raise EngineError(
-            f"kernel {kernel!r} has no batched implementation; use "
-            f"batch_size=1 or one of {BATCHED_KERNELS}"
-        )
-    if target_states < cloud.num_states:
-        raise ReproError(
-            f"cloud already has {cloud.num_states} states > target {target_states}"
-        )
-    frozen = freeze_seed(params["seed"])
-    meta = CampaignMeta(
-        method=method,
-        kernel=kernel,
-        seed=frozen,
-        batch_size=batch_size,
-        store_states=cloud.store_states,
-        swaps_per_state=swaps_per_state,
+    return run_campaign(
+        cloud.graph, spec, target_states, base=cloud,
+        done=((0, cloud.num_states, 1),), checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every, keep_checkpoints=keep_checkpoints,
+        driver="resume",
     )
-    writer = CheckpointWriter(
-        checkpoint_path, meta, every=checkpoint_every, keep=keep_checkpoints
-    )
-    sampler = TreeSampler(
-        cloud.graph, method=method, seed=frozen,
-        swaps_per_state=swaps_per_state,
-    )
-    start = cloud.num_states
-    while start < target_states:
-        count = min(max(batch_size, 1), target_states - start)
-        if method == "swap":
-            # Chain states are a pure function of (seed, index), so a
-            # resume re-enters the chain at index `start` and replays at
-            # most segment_length - 1 states to reach it — the states
-            # produced are exactly the uninterrupted campaign's.
-            from repro.harary.bipartition import sides_from_sign_to_root
-
-            signs, s2r = sampler.swap_states(count, start=start)
-            cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-        elif count == 1:
-            cloud.add_result(
-                balance(cloud.graph, sampler.tree(start), kernel=kernel)
-            )
-        else:
-            from repro.core.parity_batch import balance_batch
-            from repro.harary.bipartition import sides_from_sign_to_root
-
-            batch = sampler.batch(count, start=start)
-            signs, s2r = balance_batch(cloud.graph, batch)
-            cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-        start += count
-        writer.step(cloud, count)
-    if checkpoint_path is not None:
-        writer.final(cloud)
-    cloud.campaign_meta = meta
-    return cloud

@@ -1,21 +1,17 @@
 """Frustration-cloud accumulation (Alg. 2 and §2.2–2.3).
 
-A *frustration cloud* is the multiset of nearest balanced states
-reached from sampled (or, for tiny graphs, all) spanning trees.  The
-:class:`FrustrationCloud` accumulator consumes one balanced state at a
-time and maintains exactly the running statistics the consensus
-attributes need — per-vertex majority counts, coalition sizes,
-per-edge sign preservation — in O(n + m) memory, so clouds over
-thousands of states never store the states themselves (storing unique
-states is opt-in for the small-graph experiments that need Fig. 2's
-"5 unique states").
+A *frustration cloud* is the multiset of nearest balanced states reached
+from sampled (or, for tiny graphs, all) spanning trees.
+:class:`FrustrationCloud` keeps exactly the running statistics the
+consensus attributes need in O(n + m) memory; every one is an exact sum,
+so a cloud does not depend on how its states were grouped or merged.
+Storing unique states is opt-in (Fig. 2's "5 unique states").
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
 
@@ -23,17 +19,12 @@ from repro.core.balancer import balance
 from repro.core.state import BalanceResult
 from repro.errors import NotBalancedError, ReproError
 from repro.graph.csr import SignedGraph
-from repro.harary.bipartition import (
-    HararyBipartition,
-    harary_bipartition,
+from repro.harary.bipartition import (  # noqa: F401 - sides_from_sign_to_root
+    HararyBipartition,                   # stays a module attribute for the
+    harary_bipartition,                  # perfbench span patches
     sides_from_sign_to_root,
 )
-from repro.perf.compat import Counters, PhaseTimer
-from repro.perf.journal import get_journal, journal_event
-from repro.perf.registry import collecting, get_registry
-from repro.perf.tracing import span
 from repro.rng import SeedLike, freeze_seed
-from repro.trees.sampler import TreeSampler
 from repro.trees.enumeration import all_spanning_trees
 
 __all__ = [
@@ -44,24 +35,18 @@ __all__ = [
     "BATCHED_KERNELS",
 ]
 
-#: Kernels whose balanced states the tree-batched parity engine
-#: reproduces bit-for-bit; any other kernel must run with
-#: ``batch_size=1`` (requesting it with a batch raises instead of
-#: silently substituting a different kernel).
+#: Kernels the tree-batched parity engine reproduces bit for bit; any
+#: other kernel must run with ``batch_size=1`` (a batch raises).
 BATCHED_KERNELS = ("lockstep", "parity")
 
 
 def auto_batch_size(num_vertices: int) -> int:
     """A good default batch size for a graph of *num_vertices*.
 
-    The batched engine's working set is a handful of ``(B, n)`` arrays;
-    states/sec climbs with B until those arrays fall out of cache, then
-    falls off a cliff (BENCH_cloud.json: 4000 vertices peaks near B=32,
-    12000 vertices is already past the cliff at B=64).  Targeting
-    ``B * n ≈ 2**17`` flattened slots keeps the working set around a
-    megabyte; the result is clamped to the [8, 64] power-of-two range
-    so tiny graphs still amortize per-level overhead and huge graphs
-    keep a useful batch.
+    States/sec climbs with B until the engine's ``(B, n)`` working set
+    falls out of cache (BENCH_cloud.json: 4000 vertices peak near
+    B=32).  Targeting ``B * n ≈ 2**17`` keeps it near a megabyte,
+    clamped to the power-of-two range [8, 64].
     """
     if num_vertices < 1:
         raise ReproError("num_vertices must be positive")
@@ -73,16 +58,11 @@ def auto_batch_size(num_vertices: int) -> int:
 
 @dataclass
 class FrustrationCloud:
-    """Streaming accumulator over nearest balanced states.
+    """Streaming accumulator over nearest balanced states of *graph*.
 
-    Parameters
-    ----------
-    graph:
-        The input graph Σ (fixed structure for every state).
-    store_states:
-        Keep a count per *unique* balanced state (keyed by the sign
-        array).  Needed for the Fig. 2 experiment; off by default since
-        it costs O(m) per unique state.
+    ``store_states`` keeps a count per *unique* balanced state (keyed by
+    the sign array): needed for Fig. 2, off by default since it costs
+    O(m) per unique state.
     """
 
     graph: SignedGraph
@@ -102,11 +82,12 @@ class FrustrationCloud:
         n, m = self.graph.num_vertices, self.graph.num_edges
         self._majority = np.zeros(n, dtype=np.float64)
         self._majority_sq = np.zeros(n, dtype=np.float64)
-        self._coalition = np.zeros(n, dtype=np.float64)
+        # Sum of (side size - 1) over the states: an exact integer, so
+        # the cloud is the same however its states are grouped and merged.
+        self._coalition = np.zeros(n, dtype=np.int64)
         self._edge_preserved = np.zeros(m, dtype=np.int64)
         self._edge_coside = np.zeros(m, dtype=np.int64)
-        # Flip counts live in a doubling preallocated buffer so batch
-        # ingestion and long campaigns never pay per-state list growth.
+        # A doubling buffer: no per-state list growth.
         self._flip_counts = np.zeros(64, dtype=np.int64)
         self._flip_len = 0
         self._unique = {}
@@ -125,9 +106,6 @@ class FrustrationCloud:
         self._flip_counts[self._flip_len : need] = values
         self._flip_len = need
 
-    # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
     def add_signs(self, signs: np.ndarray) -> HararyBipartition:
         """Fold one balanced state (a length-m sign array) into the cloud.
 
@@ -143,9 +121,7 @@ class FrustrationCloud:
         self._majority += delta
         self._majority_sq += delta * delta
         size0, size1 = bip.sizes
-        side_size = np.where(bip.side == 0, size0, size1).astype(np.float64)
-        if n > 1:
-            self._coalition += (side_size - 1.0) / (n - 1.0)
+        self._coalition += np.where(bip.side == 0, size0, size1) - 1
         self._edge_preserved += signs == self.graph.edge_sign
         self._edge_coside += (
             bip.side[self.graph.edge_u] == bip.side[self.graph.edge_v]
@@ -219,17 +195,9 @@ class FrustrationCloud:
         delta[maj == -1] = 0.5
         self._majority += delta.sum(axis=0)
         self._majority_sq += (delta * delta).sum(axis=0)
-        if n > 1:
-            side_size = np.where(
-                sides == 0, size0[:, None], size1[:, None]
-            ).astype(np.float64)
-            # Accumulate row by row: coalition contributions are inexact
-            # fractions, and bit-identity with sequential ingestion
-            # requires the same left-to-right addition order (the other
-            # accumulators are exact in float64, so batch reductions are
-            # order-safe).
-            for row in (side_size - 1.0) / (n - 1.0):
-                self._coalition += row
+        self._coalition += np.where(
+            sides == 0, size0[:, None], size1[:, None]
+        ).sum(axis=0) - num_new
         self._edge_preserved += (signs == self.graph.edge_sign).sum(axis=0)
         self._edge_coside += coside.sum(axis=0)
         self._append_flip_counts(
@@ -241,9 +209,7 @@ class FrustrationCloud:
                 self._unique[key] = self._unique.get(key, 0) + 1
         self.num_states += num_new
 
-    # ------------------------------------------------------------------
-    # Attributes (defined in §2.3 / the frustration-cloud paper [33])
-    # ------------------------------------------------------------------
+    # -- attributes (§2.3 / the frustration-cloud paper [33]) ----------
     def _require_states(self) -> None:
         if self.num_states == 0:
             raise ReproError("the cloud is empty; add states first")
@@ -258,15 +224,14 @@ class FrustrationCloud:
         """Per-vertex influence: the expected fraction of the *other*
         vertices that share v's side of the bipartition.
 
-        Interpretation note (documented substitution): the cloud paper
-        [33] derives several attributes from the bipartitions; the
-        exact formula is not reproduced in the SC paper, so we use the
-        natural "expected coalition size" — it is 0.5-centred, spreads
-        vertices vertically in the Fig. 5 status–influence plane, and
-        is monotone in how often large groups side with v.
+        Documented substitution: the cloud paper [33]'s formula is not
+        reproduced in the SC paper, so this is the natural "expected
+        coalition size" (0.5-centred, monotone in how often large groups
+        side with v).
         """
         self._require_states()
-        return self._coalition / self.num_states
+        n = self.graph.num_vertices
+        return self._coalition / max(n - 1, 1) / self.num_states
 
     def edge_agreement(self) -> np.ndarray:
         """Per-edge agreement: fraction of states preserving the edge's
@@ -290,13 +255,8 @@ class FrustrationCloud:
 
     def edge_coside(self) -> np.ndarray:
         """Per-edge co-side probability: fraction of states in which the
-        edge's endpoints land on the same side of the Harary bipartition.
-
-        This is the edge-level consensus signal the community metrics in
-        :mod:`repro.cloud.metrics` build on: a positive edge whose
-        endpoints keep ending up on opposite sides marks a contested
-        relationship.
-        """
+        edge's endpoints share a Harary side (the signal the community
+        metrics in :mod:`repro.cloud.metrics` build on)."""
         self._require_states()
         return self._edge_coside / self.num_states
 
@@ -321,13 +281,9 @@ class FrustrationCloud:
         return self._flip_counts[: self._flip_len].copy()
 
     def merge(self, other: "FrustrationCloud") -> None:
-        """Fold another cloud over the *same* graph into this one.
-
-        This is the reduction step of the parallel drivers: per-worker
-        clouds accumulate independently and merge at the end, giving
-        results identical to a single sequential cloud over the union
-        of their states.
-        """
+        """Fold another cloud over the *same* graph into this one: the
+        reduction step of the campaign drivers, identical to one cloud
+        over the union of their states."""
         from repro.graph.validation import assert_same_structure
 
         assert_same_structure(self.graph, other.graph)
@@ -366,9 +322,7 @@ def sample_cloud(
     kernel: str = "lockstep",
     seed: SeedLike = None,
     store_states: bool = False,
-    timers: PhaseTimer | None = None,
     batch_size: int | str = 1,
-    counters: Counters | None = None,
     checkpoint_path=None,
     checkpoint_every: int = 0,
     keep_checkpoints: int = 1,
@@ -376,186 +330,41 @@ def sample_cloud(
     graph_store=None,
 ) -> FrustrationCloud:
     """Alg. 2: sample ``num_states`` spanning trees, balance each, and
-    accumulate the Harary bipartitions into a cloud.
+    accumulate the Harary bipartitions into a cloud, in-process.
 
-    ``graph_store`` (a path or an open
-    :class:`~repro.graph.store.GraphStore`) records the packed store
-    file the campaign's graph came from in its checkpoint metadata, so
-    pool resumes can cross-check the store; the sequential engine
-    itself reads *graph* (pass ``store.graph()`` to sample directly
-    off the mapping).
+    The engine follows the spec.  ``batch_size > 1`` (or ``"auto"``,
+    see :func:`auto_batch_size`) runs the tree-batched BFS + parity
+    engine, identical to ``batch_size=1`` for the same seed; kernels
+    outside :data:`BATCHED_KERNELS` raise with a batch.
+    ``method="swap"`` runs the swap-chain engine
+    (:mod:`repro.trees.swap_chain`), deterministic in the seed but only
+    statistically equivalent to BFS clouds (see EXPERIMENTS.md).
 
-    ``batch_size > 1`` switches to the tree-batched engine: each
-    iteration samples a batch of trees with the stacked BFS kernels,
-    balances all of them with one batched parity pass, derives the
-    Harary sides in O(n) per state from the sign-to-root vectors, and
-    folds the whole batch into the cloud with matrix reductions.  The
-    result is attribute-for-attribute identical to ``batch_size=1``
-    with the same seed (the batched sampler is bit-identical per tree
-    index); only the per-state timing/counter breakdown differs, since
-    batching has no labeling phase.  Kernels outside
-    :data:`BATCHED_KERNELS` have no batched implementation and raise
-    when requested with a batch.  ``batch_size="auto"`` picks
-    :func:`auto_batch_size` for the graph.
-
-    ``method="swap"`` runs the incremental swap-chain engine
-    (:mod:`repro.trees.swap_chain`): tree ``k+1`` is derived from tree
-    ``k`` by ``swaps_per_state`` cut/link edge swaps, and both the
-    balanced signs and the Harary sides are read straight off the
-    chain's delta state — no labeling pass, no parity kernel.  Swap
-    clouds are deterministic in the seed but *statistically* (not
-    bit-for-bit) equivalent to BFS clouds; see EXPERIMENTS.md.
-
-    ``checkpoint_path`` writes a self-describing crash-safe checkpoint
-    (atomic write, rotating ``keep_checkpoints`` files) every
-    ``checkpoint_every`` states and once at the end, embedding the
-    campaign parameters so :func:`repro.cloud.checkpoint.resume_cloud`
-    can validate a later resume against them.
+    ``checkpoint_path`` writes an atomic, self-describing checkpoint
+    (rotating ``keep_checkpoints`` files) every ``checkpoint_every``
+    states and at the end, for :func:`~repro.cloud.checkpoint.
+    resume_cloud`; ``graph_store`` (a store holding *graph*, or its
+    path) is recorded there.  Invalid parameters raise
+    :class:`~repro.errors.EngineError`.
     """
-    if batch_size == "auto":
-        batch_size = auto_batch_size(graph.num_vertices)
-    if not isinstance(batch_size, int) or batch_size < 1:
-        raise ReproError("batch_size must be a positive int or 'auto'")
-    if swaps_per_state < 1:
-        raise ReproError("swaps_per_state must be positive")
-    # The swap chain produces balanced states directly (no kernel runs),
-    # so the batched-kernel restriction only applies to tree methods
-    # that go through the parity engine.
-    if method != "swap" and batch_size > 1 and kernel not in BATCHED_KERNELS:
-        from repro.errors import EngineError
+    from repro.cloud.checkpoint import CampaignMeta
+    from repro.parallel.pool import run_campaign
 
-        raise EngineError(
-            f"kernel {kernel!r} has no batched implementation; use "
-            f"batch_size=1 or one of {BATCHED_KERNELS}"
-        )
-    frozen = freeze_seed(seed)
-    sampler = TreeSampler(
-        graph, method=method, seed=frozen, swaps_per_state=swaps_per_state
+    spec = CampaignMeta.build(
+        graph, method=method, kernel=kernel, seed=freeze_seed(seed),
+        batch_size=batch_size, store_states=store_states,
+        swaps_per_state=swaps_per_state, graph_store=graph_store,
     )
-    cloud = FrustrationCloud(graph, store_states=store_states)
-    # Phase timing flows through the metrics registry spans since PR 4;
-    # a legacy PhaseTimer is honoured when a caller passes one, but none
-    # is allocated by default.
-    phase = (
-        timers.phase
-        if timers is not None
-        else (lambda _name: contextlib.nullcontext())
-    )
-    journal_event(
-        "campaign_started",
+    return run_campaign(
+        graph, spec, num_states, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every, keep_checkpoints=keep_checkpoints,
         driver="sequential",
-        num_states=num_states,
-        method=method,
-        kernel=kernel,
-        seed=frozen,
-        batch_size=batch_size,
-        swaps_per_state=swaps_per_state,
-        vertices=graph.num_vertices,
-        edges=graph.num_edges,
     )
-    # Convergence snapshots: ~16 per campaign, only when journaling.
-    snap_every = max(1, num_states // 16)
-    writer = None
-    if checkpoint_path is not None:
-        from repro.cloud.checkpoint import CampaignMeta, CheckpointWriter
-
-        store_path = None
-        if graph_store is not None:
-            store_path = str(getattr(graph_store, "path", graph_store))
-        writer = CheckpointWriter(
-            checkpoint_path,
-            CampaignMeta(
-                method=method,
-                kernel=kernel,
-                seed=frozen,
-                batch_size=batch_size,
-                store_states=store_states,
-                swaps_per_state=swaps_per_state,
-                graph_store=store_path,
-            ),
-            every=checkpoint_every,
-            keep=keep_checkpoints,
-        )
-    with collecting() as metrics, span("campaign"):
-        if method == "swap":
-            # Delta path: the chain emits tree_swap / delta_relabel
-            # spans internally; each state's balanced signs and Harary
-            # sides come straight off the chain's s2r, so there is no
-            # labeling phase and no parity kernel to time.
-            for start in range(0, num_states, batch_size):
-                count = min(batch_size, num_states - start)
-                with phase("tree_generation"), span("tree_sample"):
-                    signs, s2r = sampler.swap_states(count, start=start)
-                with phase("harary_and_status"), span("harary"):
-                    cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-                if writer is not None:
-                    writer.step(cloud, count)
-                if get_journal() is not None:
-                    journal_event(
-                        "convergence",
-                        states=cloud.num_states,
-                        frustration_upper_bound=cloud.frustration_upper_bound(),
-                    )
-        elif batch_size == 1:
-            for i in range(num_states):
-                with phase("tree_generation"), span("tree_sample"):
-                    tree = sampler.tree(i)
-                result = balance(
-                    graph, tree, kernel=kernel, timers=timers,
-                    counters=counters,
-                )
-                with phase("harary_and_status"), span("harary"):
-                    cloud.add_result(result)
-                if writer is not None:
-                    writer.step(cloud, 1)
-                if get_journal() is not None and (i + 1) % snap_every == 0:
-                    journal_event(
-                        "convergence",
-                        states=cloud.num_states,
-                        frustration_upper_bound=cloud.frustration_upper_bound(),
-                    )
-        else:
-            from repro.core.parity_batch import balance_batch
-
-            for start in range(0, num_states, batch_size):
-                count = min(batch_size, num_states - start)
-                with phase("tree_generation"), span("tree_sample"):
-                    batch = sampler.batch(
-                        count, start=start, counters=counters
-                    )
-                with phase("cycle_processing"), span("parity_kernel"):
-                    signs, s2r = balance_batch(
-                        graph, batch, counters=counters
-                    )
-                with phase("harary_and_status"), span("harary"):
-                    cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-                if writer is not None:
-                    writer.step(cloud, count)
-                if get_journal() is not None:
-                    journal_event(
-                        "convergence",
-                        states=cloud.num_states,
-                        frustration_upper_bound=cloud.frustration_upper_bound(),
-                    )
-        get_registry().count("cloud.states_total", num_states)
-    # Attach this campaign's own metrics window before the final
-    # checkpoint so the v2 payload can embed it.
-    cloud.metrics = metrics.snapshot()
-    if writer is not None:
-        writer.final(cloud)
-        cloud.campaign_meta = writer.campaign
-    journal_event(
-        "campaign_completed", driver="sequential", states=cloud.num_states
-    )
-    return cloud
 
 
 def exact_cloud(graph: SignedGraph, root: int = 0) -> FrustrationCloud:
-    """The exhaustive cloud over *all* spanning trees (tiny graphs only).
-
-    This is how the Fig. 1–3 anchors are computed: 8 trees for the
-    example Σ, 5 unique states, status 6/8 for the best-placed vertex.
-    """
+    """The exhaustive cloud over *all* spanning trees (tiny graphs
+    only): the Fig. 1–3 anchors (8 trees, 5 unique states)."""
     cloud = FrustrationCloud(graph, store_states=True)
     for tree in all_spanning_trees(graph, root=root):
         result = balance(graph, tree, kernel="lockstep")

@@ -1,63 +1,31 @@
-"""Process-pool cloud sampling — real cross-tree parallelism.
+"""The campaign path: the block executor, block planning, and the
+campaign runner every entry point shares.
 
-The simplest parallelization of Alg. 2 runs different trees on
-different workers (§3.3's opening observation).  This driver does that
-with a :class:`concurrent.futures.ProcessPoolExecutor`: each worker
-builds and balances a block of tree indices, accumulates a local
-:class:`FrustrationCloud`, and the parent merges the per-worker
-clouds — producing results equivalent to the sequential
-:func:`repro.cloud.sample_cloud` for the same seed (tested), because
-:class:`TreeSampler` hands out tree *i* deterministically.
-
-The graph reaches each worker exactly once, through the executor's
-*initializer*, and blocks travel as three integers ``(start, stop,
-step)`` — never a materialized index list.  Two initializers exist:
-the legacy one ships a pickle of the graph per worker process, and the
-zero-copy one (``graph_store=...``) ships only a path to a packed
-:class:`~repro.graph.store.GraphStore` file that every worker reopens
-as read-only ``np.memmap`` views — N workers then share one page-cache
-copy of the graph, and pool rebuilds cost a header read instead of a
-re-pickle.  Either way the worker slot records the graph's content
-fingerprint, and every task carries the campaign's expected
-fingerprint, so a stale slot (executor reuse after degradation, a
-rebuilt pool, a swapped store file) is detected — and, for
-store-backed workers, healed by reopening the mapping — instead of
-silently computing against the wrong graph.  Within a worker,
-``batch_size > 1`` runs the tree-batched engine on each block,
-stacking the worker's trees into shared vectorized kernels.
-
-Work-stealing: ``steal_chunks=K`` splits the campaign into K fine
-contiguous blocks (pick ``K ≈ 4–8× workers``) that all enter the
-executor's shared task queue up front; idle workers pull the next
-block the moment they finish one, so a straggler block delays only
-itself instead of serializing the whole tail the way a static
-one-block-per-worker split does.  The parent journals which worker ran
-each block and a ``steal_summary`` event with the per-worker block/
-state tallies, so imbalance is visible after the fact.
-
-Crash safety: when ``checkpoint_path`` is given and a worker dies, the
-parent salvages every block that *did* complete into an atomic
-checkpoint whose campaign metadata records exactly which
-``(start, stop, step)`` blocks it contains; ``resume_from`` later
-reruns only the missing indices and merges them in, so a crashed
-campaign loses at most the in-flight blocks.  Sequential
-:func:`~repro.cloud.checkpoint.resume_cloud` refuses such salvage
-checkpoints (they are not a contiguous prefix of the campaign).
-
-On this reproduction's single-core container the pool adds overhead
-rather than speed; the value here is the verified-deterministic
-parallel dataflow a multi-core deployment would use as-is.
+Alg. 2 is a set of independent tree indices whose balanced states are
+reduced by merging (§2.2, §3.3).  A campaign is a validated spec
+(:class:`~repro.cloud.checkpoint.CampaignMeta`), a plan of ``(start,
+stop, step)`` blocks, the executor :func:`run_block` (the only code that
+chooses between the swap, batched and per-tree engines), and the driver
+(:mod:`repro.parallel.supervisor`).  :func:`run_campaign` plans, drives
+and merges; ``sample_cloud``, ``resume_cloud`` and
+:func:`sample_cloud_pool` are thin calls into it.  Pool workers get the
+graph once, as a pickle or as the path of a packed
+:class:`~repro.graph.store.GraphStore` they map read-only, and every
+task carries the graph fingerprint so a stale worker slot is caught.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import BATCHED_KERNELS, FrustrationCloud
+import repro.core.parity_batch as parity_batch
+import repro.harary.bipartition as bipartition
+from repro.cloud.checkpoint import CampaignMeta, CheckpointWriter, recover_cloud
+from repro.cloud.cloud import FrustrationCloud
 from repro.core.balancer import balance
 from repro.errors import CheckpointError, EngineError, SupervisorError
 from repro.graph.csr import SignedGraph
@@ -67,14 +35,9 @@ from repro.perf.flight import (
     install_flight_recorder,
     set_flight_recorder,
 )
-from repro.perf.journal import journal_event
+from repro.perf.journal import get_journal, journal_event
 from repro.perf.registry import collecting, get_registry
-from repro.perf.tracectx import (
-    TraceContext,
-    current_trace,
-    pop_trace,
-    push_trace,
-)
+from repro.perf.tracectx import TraceContext, pop_trace, push_trace
 from repro.perf.tracing import (
     TraceCollector,
     absorb_shard,
@@ -83,7 +46,7 @@ from repro.perf.tracing import (
     set_trace_collector,
     span,
 )
-from repro.rng import SeedLike, freeze_seed
+from repro.rng import SeedLike
 from repro.trees.sampler import TreeSampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,39 +54,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.parallel.supervisor import RetryPolicy
 
-__all__ = ["sample_cloud_pool"]
+__all__ = ["sample_cloud_pool", "run_block", "run_campaign"]
 
 Block = Tuple[int, int, int]
 StoreLike = Union[str, "Path", GraphStore]
 
-# Per-process graph slot, populated once by an executor initializer so
-# submitted tasks don't each re-ship the (potentially large) graph.
-# The fingerprint makes the slot verifiable: every task carries the
-# campaign's expected fingerprint, so a stale slot never silently
-# serves the wrong graph.  _WORKER_STORE remembers the backing store
-# path (when there is one) so a stale store-backed slot can heal
-# itself by reopening the mapping.
+# Per-process graph slot, filled by the initializer; the store path
+# lets a stale store-backed slot heal by remapping.
 _WORKER_GRAPH: SignedGraph | None = None
 _WORKER_FINGERPRINT: str | None = None
 _WORKER_STORE: str | None = None
 
-
-#: Bound on the span events one block shard ships back with its cloud
-#: (a straggler block can close thousands of tree_sample spans; the
-#: shard keeps the first N and counts the rest as dropped).
+#: Span events one block shard ships back at most (the rest: dropped).
 _SHARD_MAX_EVENTS = 512
 
 
 def _init_worker_flight(flight_dir: str | None) -> None:
-    """Reset fork-inherited observability state and arm the worker's
-    flight recorder when the campaign asked for one.
-
-    Fork-start workers inherit the parent's trace collector and flight
-    recorder by memory copy; both are the *parent's* identity (its
-    dump path, its in-memory event sink) and must not be trusted here —
-    the collector especially, because a worker only ships a span shard
-    when no collector is installed.
-    """
+    """Drop the trace collector and flight recorder a forked worker
+    inherits from the parent (a worker ships span shards only when no
+    collector is installed), and arm the worker's own recorder."""
     set_trace_collector(None)
     set_flight_recorder(None)
     if flight_dir is not None:
@@ -135,7 +84,7 @@ def _init_worker(
     fingerprint: str | None = None,
     flight_dir: str | None = None,
 ) -> None:
-    """Legacy initializer: install a pickled graph in the worker slot."""
+    """Pickle initializer: install the shipped graph in the worker slot."""
     global _WORKER_GRAPH, _WORKER_FINGERPRINT, _WORKER_STORE
     _init_worker_flight(flight_dir)
     _WORKER_GRAPH = graph
@@ -150,30 +99,20 @@ def _init_worker_store(
     fingerprint: str | None = None,
     flight_dir: str | None = None,
 ) -> None:
-    """Zero-copy initializer: map the packed graph store read-only.
-
-    The arrays are ``np.memmap`` views, so every worker on the machine
-    shares one page-cache copy of the graph; only the path and the
-    expected fingerprint cross the process boundary.
-    """
-    global _WORKER_GRAPH, _WORKER_FINGERPRINT, _WORKER_STORE
+    """Zero-copy initializer: map the packed graph store read-only, so
+    every worker on the machine shares one page-cache copy of the graph;
+    only the path and the expected fingerprint cross the process
+    boundary."""
+    global _WORKER_GRAPH, _WORKER_STORE
     _init_worker_flight(flight_dir)
-    store = GraphStore.open(path)
-    if fingerprint is not None and store.fingerprint != fingerprint:
-        raise EngineError(
-            f"graph store {path} holds fingerprint "
-            f"{store.fingerprint[:12]}..., campaign expects "
-            f"{fingerprint[:12]}... (was the store repacked mid-campaign?)"
-        )
-    _WORKER_GRAPH = store.graph()
-    _WORKER_FINGERPRINT = store.fingerprint
-    _WORKER_STORE = str(path)
+    _WORKER_GRAPH, _WORKER_STORE = None, str(path)
+    _worker_graph(fingerprint)
 
 
 def _reset_worker_slot() -> None:
     """Clear the per-process graph slot (parent-side before in-process
-    or degraded execution, and tests) so stale state cannot leak into a
-    later campaign that reuses this process."""
+    execution, and tests) so stale state cannot leak into a later
+    campaign that reuses this process."""
     global _WORKER_GRAPH, _WORKER_FINGERPRINT, _WORKER_STORE
     _WORKER_GRAPH = None
     _WORKER_FINGERPRINT = None
@@ -181,12 +120,9 @@ def _reset_worker_slot() -> None:
 
 
 def _worker_graph(fingerprint: str | None) -> SignedGraph:
-    """The worker-slot graph, fingerprint-checked against the task.
-
-    A store-backed slot that is empty or stale heals itself by
-    reopening the mapping; a pickle-backed mismatch is unrecoverable in
-    the worker and raises (the parent's rebuild ladder takes over).
-    """
+    """The worker-slot graph, fingerprint-checked against the task.  A
+    store-backed slot that is empty or stale heals by remapping; a
+    pickle-backed mismatch raises (the supervisor rebuilds the pool)."""
     global _WORKER_GRAPH, _WORKER_FINGERPRINT
     if _WORKER_GRAPH is not None and (
         fingerprint is None or fingerprint == _WORKER_FINGERPRINT
@@ -197,8 +133,8 @@ def _worker_graph(fingerprint: str | None) -> SignedGraph:
         if fingerprint is not None and store.fingerprint != fingerprint:
             raise EngineError(
                 f"graph store {_WORKER_STORE} holds fingerprint "
-                f"{store.fingerprint[:12]}..., task expects "
-                f"{fingerprint[:12]}..."
+                f"{store.fingerprint[:12]}..., the campaign expects "
+                f"{fingerprint[:12]}... (was the store repacked?)"
             )
         _WORKER_GRAPH = store.graph()
         _WORKER_FINGERPRINT = store.fingerprint
@@ -212,42 +148,29 @@ def _worker_graph(fingerprint: str | None) -> SignedGraph:
     )
 
 
-def _run_block(
+# -- the block executor ------------------------------------------------
+def run_block(
     graph: SignedGraph,
-    method: str,
-    kernel: str,
-    seed: int,
+    spec: CampaignMeta,
     block: Block,
-    store_states: bool,
-    batch_size: int,
     fault: Callable[[Block], None] | None = None,
-    swaps_per_state: int = 1,
     trace: dict | None = None,
 ) -> FrustrationCloud:
-    """Balance the tree indices ``range(*block)`` and return the local
-    cloud.  *fault* is the fault-injection hook (see
-    :mod:`repro.util.faults`), invoked with the block before any work.
+    """Balance the tree indices ``range(*block)`` of the campaign *spec*
+    into a fresh cloud.
 
-    *trace* is a :meth:`~repro.perf.tracectx.TraceContext.to_dict`
-    payload naming the parent span this block hangs under.  In a worker
-    process (no trace collector installed) the block records its spans
-    into a bounded local collector and ships them back as
-    ``cloud.trace_shard``; in the parent (in-process / degraded
-    execution) spans chain under the ambient context directly.
+    *fault* (see :mod:`repro.util.faults`) is called with the block
+    before any work.  *trace* names the parent span: in a pool worker
+    the block's spans ship back as ``cloud.trace_shard``.  The block's
+    metrics ride back as ``cloud.metrics``, its process as
+    ``cloud.worker_pid``.
     """
     recorder = get_flight_recorder()
-    if recorder is not None:
-        # Dumped before any work: a SIGKILL mid-block leaves a dump
-        # naming exactly this block.
+    if recorder is not None:  # a SIGKILL mid-block leaves a dump naming it
         recorder.mark_inflight(what="block", block=list(block),
-                               method=method)
+                               method=spec.method)
     if fault is not None:
         fault(block)
-    indices = range(*block)
-    sampler = TreeSampler(
-        graph, method=method, seed=seed, swaps_per_state=swaps_per_state
-    )
-    cloud = FrustrationCloud(graph, store_states=store_states)
     ctx = TraceContext.from_dict(trace) if trace is not None else None
     shard: TraceCollector | None = None
     if ctx is not None and get_trace_collector() is None:
@@ -256,106 +179,73 @@ def _run_block(
     if ctx is not None:
         push_trace(ctx)
     try:
-        cloud = _run_block_body(
-            graph, method, kernel, sampler, indices, cloud, batch_size
-        )
+        # A detached window: the parent merges the snapshot exactly once.
+        with collecting(merge=False) as metrics, span("block"):
+            cloud = _balance_block(graph, spec, range(*block))
+            get_registry().count("cloud.states_total", cloud.num_states)
     finally:
         if ctx is not None:
             pop_trace()
         if shard is not None:
             set_trace_collector(None)
+    cloud.metrics = metrics.snapshot()
     if shard is not None:
-        # Dynamic attribute like `metrics` below: survives pickling, so
-        # the parent can stitch the worker's spans into its collector.
         cloud.trace_shard = collector_shard(shard)
+    cloud.worker_pid = os.getpid()
     if recorder is not None:
         recorder.clear_inflight(block=list(block), states=cloud.num_states)
     return cloud
 
 
-def _run_block_body(
-    graph: SignedGraph,
-    method: str,
-    kernel: str,
-    sampler: TreeSampler,
-    indices: range,
-    cloud: FrustrationCloud,
-    batch_size: int,
+def _balance_block(
+    graph: SignedGraph, spec: CampaignMeta, indices: range
 ) -> FrustrationCloud:
-    """The measured heart of :func:`_run_block` (split out so the trace
-    scope installed around it stays readable)."""
-    # Detached metrics window: the snapshot rides back with the cloud
-    # and the parent merges it exactly once (merge=True here would
-    # double-count blocks that degrade to in-process execution).
-    with collecting(merge=False) as metrics, span("block"):
-        if method == "swap":
-            from repro.harary.bipartition import sides_from_sign_to_root
-
-            # Chain states are pure functions of (seed, index), so any
-            # block shape is correct; the worker enters the chain at its
-            # block's segment and walks it forward in chunks.
-            for lo in range(0, len(indices), batch_size):
-                chunk = indices[lo : lo + batch_size]
-                with span("tree_sample"):
-                    signs, s2r = sampler.swap_states(chunk)
-                with span("harary"):
-                    cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-        elif batch_size > 1:
-            from repro.core.parity_batch import balance_batch
-            from repro.harary.bipartition import sides_from_sign_to_root
-
-            for lo in range(0, len(indices), batch_size):
-                with span("tree_sample"):
-                    batch = sampler.batch(indices[lo : lo + batch_size])
-                with span("parity_kernel"):
-                    signs, s2r = balance_batch(graph, batch)
-                with span("harary"):
-                    cloud.add_batch(signs, sides_from_sign_to_root(s2r))
+    """The engine choice: per-tree balancing, the tree-batched parity
+    engine, or the swap chain's delta states."""
+    sampler = TreeSampler(
+        graph, method=spec.method, seed=spec.seed,
+        swaps_per_state=spec.swaps_per_state,
+    )
+    cloud = FrustrationCloud(graph, store_states=spec.store_states)
+    if spec.method != "swap" and spec.batch_size == 1:
+        for i in indices:
+            with span("tree_sample"):
+                tree = sampler.tree(i)
+            result = balance(graph, tree, kernel=spec.kernel)
+            with span("harary"):
+                cloud.add_result(result)
+        return cloud
+    for lo in range(0, len(indices), spec.batch_size):
+        chunk = indices[lo : lo + spec.batch_size]
+        if spec.method == "swap":
+            # Chain states are pure functions of (seed, index): the
+            # block enters the chain at its segment and walks forward.
+            with span("tree_sample"):
+                signs, s2r = sampler.swap_states(chunk)
         else:
-            for i in indices:
-                with span("tree_sample"):
-                    tree = sampler.tree(i)
-                result = balance(graph, tree, kernel=kernel)
-                with span("harary"):
-                    cloud.add_result(result)
-        # Counted inside the detached window, so the block's state
-        # count travels with its snapshot through salvage and resume.
-        get_registry().count("cloud.states_total", cloud.num_states)
-    cloud.metrics = metrics.snapshot()
-    # Which process ran the block: dynamic attributes survive pickling
-    # (like `metrics` above), so the parent can attribute every block
-    # to a worker for the steal accounting.
-    cloud.worker_pid = os.getpid()
+            with span("tree_sample"):
+                batch = sampler.batch(chunk)
+            with span("parity_kernel"):
+                signs, s2r = parity_batch.balance_batch(graph, batch)
+        with span("harary"):
+            cloud.add_batch(signs, bipartition.sides_from_sign_to_root(s2r))
     return cloud
 
 
 def _worker(
-    method: str,
-    kernel: str,
-    seed: int,
+    spec: CampaignMeta,
     block: Block,
-    store_states: bool,
-    batch_size: int,
     fault: Callable[[Block], None] | None = None,
-    swaps_per_state: int = 1,
     fingerprint: str | None = None,
     trace: dict | None = None,
 ) -> FrustrationCloud:
-    """Pool entry point: run a block against the worker-slot graph
-    (fingerprint-checked; see :func:`_worker_graph`)."""
-    graph = _worker_graph(fingerprint)
-    return _run_block(
-        graph, method, kernel, seed, block, store_states,
-        batch_size, fault, swaps_per_state, trace,
-    )
+    """Pool entry point: run a block against the worker-slot graph."""
+    return run_block(_worker_graph(fingerprint), spec, block, fault, trace)
 
 
 def _absorb_metrics(local: FrustrationCloud) -> None:
-    """Fold a block cloud's metrics snapshot — and its span shard, when
-    the parent is collecting a trace — into the active registry/
-    collector, exactly once (both are cleared after merging, so
-    re-merging a cloud — e.g. salvage followed by resume — is a
-    no-op)."""
+    """Fold a block cloud's metrics snapshot and span shard into the
+    active registry/collector, exactly once."""
     snap = getattr(local, "metrics", None)
     if snap:
         get_registry().merge_snapshot(snap)
@@ -368,6 +258,18 @@ def _absorb_metrics(local: FrustrationCloud) -> None:
         local.trace_shard = None
 
 
+def merge_blocks(
+    cloud: FrustrationCloud,
+    completed: Sequence[tuple[Block, FrustrationCloud]],
+) -> None:
+    """Merge ``(block, block_cloud)`` pairs into *cloud* in sorted block
+    order, absorbing each block's metrics and span shard."""
+    for _block, local in sorted(completed, key=lambda pair: pair[0]):
+        cloud.merge(local)
+        _absorb_metrics(local)
+
+
+# -- block planning ----------------------------------------------------
 def _merge_intervals(done: Sequence[Block]) -> list[tuple[int, int]]:
     intervals = sorted((s, e) for s, e, _ in done)
     merged: list[tuple[int, int]] = []
@@ -399,15 +301,10 @@ def _compress_runs(indices: np.ndarray) -> list[Block]:
 def _remaining_blocks(
     done: Sequence[Block], target: int, workers: int
 ) -> list[Block]:
-    """The campaign indices of ``[0, target)`` not covered by *done*,
-    as ``(start, stop, step)`` blocks ready to hand to workers.
-
-    Fast paths keep the common shapes compact: no prior work (fresh
-    strided split), a contiguous prefix (strided tail), and
-    same-stride salvage blocks (per-residue tails).  Anything else
-    falls back to materializing the remaining set once in the parent
-    and compressing it into arithmetic runs.
-    """
+    """The indices of ``[0, target)`` not covered by *done*, as blocks.
+    A fresh campaign, a prefix and same-stride salvage blocks keep
+    compact strided shapes; anything else is compressed into arithmetic
+    runs."""
     target = int(target)
     done = [
         (int(s), int(e), int(st)) for s, e, st in done if int(e) > int(s)
@@ -451,14 +348,7 @@ def _block_len(block: Block) -> int:
 
 def _contiguous_blocks(target: int, workers: int) -> list[Block]:
     """Split ``[0, target)`` into up to *workers* contiguous step-1
-    blocks of near-equal size.
-
-    The strided split is pathological for the swap chain: a stride-w
-    block touches every w-th index, and reaching index ``k`` means
-    walking the chain through all of ``k``'s segment predecessors — so
-    each worker would replay almost the whole chain.  Contiguous blocks
-    keep the replay to at most ``segment_length - 1`` states per block.
-    """
+    blocks of near-equal size."""
     workers = min(workers, target)
     blocks: list[Block] = []
     lo = 0
@@ -471,13 +361,9 @@ def _contiguous_blocks(target: int, workers: int) -> list[Block]:
 
 
 def _split_blocks(blocks: Sequence[Block], num_chunks: int) -> list[Block]:
-    """Subdivide *blocks* into about *num_chunks* same-stride pieces.
-
-    Used by the work-stealing path on resume: the remaining blocks
-    (arbitrary strides from a salvage checkpoint) are split
-    proportionally to their index counts so the executor queue holds
-    fine-grained work.  Zero-length inputs are dropped, never emitted.
-    """
+    """Subdivide *blocks* into about *num_chunks* same-stride pieces,
+    proportionally to their index counts (zero-length pieces are
+    dropped, never emitted)."""
     blocks = [b for b in blocks if _block_len(b) > 0]
     total = sum(_block_len(b) for b in blocks)
     if total == 0 or num_chunks <= len(blocks):
@@ -495,481 +381,180 @@ def _split_blocks(blocks: Sequence[Block], num_chunks: int) -> list[Block]:
     return out
 
 
-def _chain_segment_start(index: int, segment_length: int = 256) -> int:
-    """The swap-chain segment start covering *index* (recorded on block
-    journal events so operators can see a block's chain entry point)."""
-    return index - index % segment_length
-
-
-def sample_cloud_pool(
-    graph: SignedGraph,
-    num_states: int,
-    workers: int = 2,
-    method: str = "bfs",
-    kernel: str = "lockstep",
-    seed: SeedLike = 0,
-    store_states: bool = False,
-    batch_size: int = 1,
-    checkpoint_path=None,
-    keep_checkpoints: int = 1,
-    resume_from=None,
-    fault: Callable[[Block], None] | None = None,
-    policy: "RetryPolicy | None" = None,
-    swaps_per_state: int = 1,
-    graph_store: StoreLike | None = None,
+def plan_blocks(
+    spec: CampaignMeta,
+    target: int,
+    *,
+    workers: int = 1,
+    done: Sequence[Block] = (),
     steal_chunks: int | None = None,
-    flight_dir: str | None = None,
-) -> FrustrationCloud:
-    """Alg. 2 with tree-level process parallelism.
-
-    Equivalent to ``sample_cloud(graph, num_states, method, kernel,
-    seed)`` up to the (unordered) flip-count log.  ``workers=1`` runs
-    in-process without spawning.  ``batch_size > 1`` additionally runs
-    the tree-batched engine inside each worker.
-
-    ``checkpoint_path`` writes a self-describing checkpoint when the
-    campaign completes — and, if a worker crashes mid-campaign (or the
-    parent is interrupted), a *salvage* checkpoint holding every block
-    that did complete (the raised :class:`~repro.errors.EngineError`
-    names it; a :class:`KeyboardInterrupt` is re-raised unchanged after
-    the salvage is written).  ``resume_from`` loads such a checkpoint
-    (falling back through its rotation backups), validates the campaign
-    parameters against the stored metadata, reruns only the missing
-    index blocks, and merges.  *fault* is a fault-injection hook for
-    the crash tests (see :class:`repro.util.faults.WorkerCrash`); it is
-    invoked in the worker with each ``(start, stop, step)`` block
-    before processing.
-
-    ``policy`` enables the self-healing supervisor
-    (:mod:`repro.parallel.supervisor`): failed blocks are retried with
-    backoff, hung blocks are timed out and their workers killed, a
-    broken pool is rebuilt, stubborn blocks degrade to in-process
-    execution, poison blocks are quarantined instead of sinking the
-    campaign, and a campaign ``deadline`` checkpoints and stops
-    cleanly.  The structured :class:`~repro.parallel.supervisor.
-    RunReport` is attached to the returned cloud as
-    ``cloud.run_report``.  When blocks were quarantined or abandoned to
-    the deadline, the returned cloud holds fewer than ``num_states``
-    states and its checkpoint records ``done_blocks`` (and the
-    quarantined blocks), so ``resume_from`` re-attempts exactly the
-    missing work.
-
-    ``graph_store`` (a path or an open
-    :class:`~repro.graph.store.GraphStore`) switches the pool to the
-    zero-copy initializer: workers map the packed store file read-only
-    instead of receiving a pickled graph, sharing one page-cache copy
-    machine-wide.  The store's fingerprint must match *graph* (which is
-    still used for the parent-side merge and checkpointing) — pass
-    ``store.graph()`` as *graph* to guarantee it.
-
-    ``steal_chunks=K`` enables work-stealing: the campaign is split
-    into K fine contiguous blocks (recommend ``4–8 × workers``) that
-    feed the executor's shared queue, so idle workers immediately pull
-    the next block and stragglers delay only themselves.  Results stay
-    bit-identical to the sequential campaign — blocks merge in sorted
-    index order regardless of which worker ran them.
-
-    ``flight_dir`` arms a crash flight recorder in every worker process
-    (and uses the parent's, if one is installed, for in-process
-    blocks): each block dumps ``flight-<pid>.json`` there before it
-    starts, so a killed worker leaves a readable record naming its
-    in-flight block (see :mod:`repro.perf.flight`).
-
-    When a trace collector is installed in the parent
-    (:func:`~repro.perf.tracing.collecting_trace` / ``--trace-out``),
-    the campaign's trace context rides every task payload; workers
-    ship their spans back as bounded shards on the block clouds, and
-    the parent stitches them — rebased onto its own clock, under the
-    same trace_id — into one causal tree across all paths (pool,
-    steal, degraded, salvage, resume).
-    """
-    from repro.cloud.checkpoint import (
-        CampaignMeta,
-        recover_cloud,
-        save_cloud,
-        validate_campaign,
-    )
-
-    if num_states < 1:
-        raise EngineError("num_states must be positive")
-    if workers < 1:
-        raise EngineError("workers must be positive")
-    if batch_size < 1:
-        raise EngineError("batch_size must be positive")
-    if swaps_per_state < 1:
-        raise EngineError("swaps_per_state must be positive")
-    if method != "swap" and batch_size > 1 and kernel not in BATCHED_KERNELS:
-        raise EngineError(
-            f"kernel {kernel!r} has no batched implementation; use "
-            f"batch_size=1 or one of {BATCHED_KERNELS}"
-        )
-    if steal_chunks is not None and steal_chunks < 1:
-        raise EngineError("steal_chunks must be positive")
-    frozen = freeze_seed(seed)
-    fingerprint = graph_fingerprint(graph)
-
-    store: GraphStore | None = None
-    if graph_store is not None:
-        with span("store_open"):
-            store = (
-                graph_store
-                if isinstance(graph_store, GraphStore)
-                else GraphStore.open(graph_store)
-            )
-            if store.fingerprint != fingerprint:
-                raise EngineError(
-                    f"graph store {store.path} holds a different graph "
-                    f"(fingerprint {store.fingerprint[:12]}...) than the "
-                    "one passed to sample_cloud_pool; pass store.graph() "
-                    "to guarantee agreement"
-                )
-
-    base: FrustrationCloud | None = None
-    prior_blocks: tuple[Block, ...] = ()
-    if resume_from is not None:
-        base, meta, _source = recover_cloud(resume_from, graph)
-        if meta is not None:
-            validate_campaign(
-                meta,
-                method=method,
-                kernel=kernel,
-                seed=frozen,
-                batch_size=batch_size,
-                store_states=store_states,
-                swaps_per_state=swaps_per_state,
-            )
-            prior_blocks = meta.done_blocks or ((0, base.num_states, 1),)
-            recorded = meta.graph_store
-            if recorded is not None and os.path.exists(recorded):
-                # The original campaign ran against a packed store; if
-                # it is still around, its header must describe the same
-                # graph we are about to continue with (a repacked store
-                # means someone changed the graph under the campaign).
-                if GraphStore.read_header(recorded).fingerprint != fingerprint:
-                    raise CheckpointError(
-                        f"checkpoint records graph store {recorded}, whose "
-                        "current contents hold a different graph "
-                        "(fingerprint mismatch); refusing to resume "
-                        "against it"
-                    )
-        else:
-            prior_blocks = ((0, base.num_states, 1),)
-        blocks = _remaining_blocks(prior_blocks, num_states, workers)
+    every: int = 0,
+) -> list[Block]:
+    """The blocks that take a campaign from *done* to *target* states:
+    a fresh campaign splits strided, ``range(w, target, workers)``, or
+    contiguously for work-stealing and the swap chain (a strided swap
+    block would replay nearly the whole chain); a resume fills the gaps.
+    ``every > 0`` cuts blocks at whole batches, for checkpoints."""
+    if not done and (steal_chunks is not None or spec.method == "swap"):
+        blocks = _contiguous_blocks(target, steal_chunks or workers)
+    else:
+        blocks = _remaining_blocks(done, target, workers)
         if steal_chunks is not None:
             blocks = _split_blocks(blocks, steal_chunks)
-    elif steal_chunks is not None:
-        # Work-stealing: many fine contiguous blocks feed the shared
-        # executor queue; contiguous also keeps swap-chain replay
-        # bounded (see _contiguous_blocks).
-        blocks = _contiguous_blocks(num_states, steal_chunks)
-    elif method == "swap":
-        # Contiguous partition: strided blocks would make every swap
-        # worker replay nearly the whole chain (see _contiguous_blocks).
-        blocks = _contiguous_blocks(num_states, workers)
-    else:
-        blocks = _remaining_blocks((), num_states, workers)
+    if every > 0:
+        size = -(-every // spec.batch_size) * spec.batch_size
+        pieces = [
+            range(*b)[lo : lo + size]
+            for b in blocks for lo in range(0, _block_len(b), size)
+        ]
+        blocks = [(r.start, r.stop, r.step) for r in pieces]
+    return blocks
 
-    campaign = CampaignMeta(
-        method=method,
-        kernel=kernel,
-        seed=frozen,
-        batch_size=batch_size,
-        store_states=store_states,
-        swaps_per_state=swaps_per_state,
-        graph_store=str(store.path) if store is not None else None,
+
+# -- the campaign runner -----------------------------------------------
+def run_campaign(
+    graph: SignedGraph,
+    spec: CampaignMeta,
+    target: int,
+    *,
+    workers: int = 1,
+    base: FrustrationCloud | None = None,
+    done: Sequence[Block] = (),
+    steal_chunks: int | None = None,
+    policy: "RetryPolicy | None" = None,
+    fault: Callable[[Block], None] | None = None,
+    checkpoint_path=None,
+    checkpoint_every: int = 0,
+    keep_checkpoints: int = 1,
+    flight_dir: str | None = None,
+    driver: str = "pool",
+) -> FrustrationCloud:
+    """Take a campaign from *base* (holding the *done* blocks) to
+    *target* states: plan, drive, and merge in sorted block order.
+
+    A block merges once every earlier one has, so the checkpoint written
+    every ``checkpoint_every`` states always holds a prefix.  Without a
+    *policy* the first failing block raises after a salvage checkpoint
+    of the completed blocks; with one, a partial campaign returns its
+    cloud with ``done_blocks`` recorded and ``cloud.run_report``.
+    """
+    from repro.parallel.supervisor import CampaignSupervisor
+
+    have = base.num_states if base is not None else 0
+    if target < max(have, 1):
+        raise EngineError(
+            f"num_states must be at least {max(have, 1)} (the cloud holds "
+            f"{have} states), got {target}"
+        )
+    blocks = plan_blocks(
+        spec, target, workers=workers, done=done,
+        steal_chunks=steal_chunks, every=checkpoint_every,
     )
-    base_states = base.num_states if base is not None else 0
-    expected = base_states + sum(_block_len(b) for b in blocks)
-    if expected != num_states:
+    todo = sum(map(_block_len, blocks))
+    if have + todo != target:
         raise CheckpointError(
-            f"resume accounting mismatch: checkpoint holds {base_states} "
-            f"states and {sum(_block_len(b) for b in blocks)} remain, but "
-            f"the target is {num_states} (was the checkpoint produced by a "
-            "larger campaign?)"
+            f"resume accounting mismatch: checkpoint holds {have} states "
+            f"and {todo} remain, but the target is {target} (was the "
+            "checkpoint produced by a larger campaign?)"
         )
+    journal_event(
+        "campaign_started", driver=driver, num_states=target,
+        workers=workers, **spec.params(), resumed_states=have,
+        blocks=len(blocks), vertices=graph.num_vertices,
+        edges=graph.num_edges, steal_chunks=steal_chunks,
+    )
+    merged = base if base is not None else FrustrationCloud(
+        graph, store_states=spec.store_states
+    )
+    writer = CheckpointWriter(
+        checkpoint_path, spec, every=checkpoint_every, keep=keep_checkpoints
+    )
+    queue = sorted(blocks, reverse=True)  # next block to merge at the end
+    early: dict[Block, FrustrationCloud] = {}
+    folded = [b for b in done if b[1] > b[0]]
 
-    def _finalize(cloud: FrustrationCloud) -> FrustrationCloud:
-        cloud.metrics = get_registry().snapshot()
-        if checkpoint_path is not None:
-            save_cloud(
-                cloud, checkpoint_path, campaign=campaign,
-                keep=keep_checkpoints,
-            )
-        cloud.campaign_meta = campaign
-        return cloud
+    def fold(pairs: list) -> None:
+        if pairs:
+            merge_blocks(merged, pairs)
+            folded.extend(b for b, _c in pairs)
+            writer.step(merged, sum(c.num_states for _b, c in pairs))
+            if get_journal() is not None:
+                journal_event(
+                    "convergence", states=merged.num_states,
+                    frustration_upper_bound=merged.frustration_upper_bound(),
+                )
 
-    def _merge_completed(
-        completed: list[tuple[Block, FrustrationCloud]],
-    ) -> FrustrationCloud:
-        """Fold completed block clouds into the resume base in sorted
-        block order — the order is what makes a healed campaign
-        bit-identical to a fault-free one.  Each block's metrics
-        snapshot (and the resume base's restored one) is folded into
-        the active registry on the way through."""
-        merged = (
-            base
-            if base is not None
-            else FrustrationCloud(graph, store_states=store_states)
-        )
-        _absorb_metrics(merged)
-        for _block, local in sorted(completed, key=lambda pair: pair[0][0]):
-            merged.merge(local)
-            _absorb_metrics(local)
-        return merged
+    def on_complete(block: Block, local: FrustrationCloud) -> None:
+        early[block] = local
+        while queue and queue[-1] in early:
+            fold([(queue[-1], early.pop(queue.pop()))])
 
-    def _partial_campaign(
-        done: Sequence[Block],
-        quarantined: tuple[Block, ...] | None = None,
-    ) -> CampaignMeta:
-        return CampaignMeta(
-            method=method,
-            kernel=kernel,
-            seed=frozen,
-            batch_size=batch_size,
-            store_states=store_states,
-            swaps_per_state=swaps_per_state,
-            graph_store=str(store.path) if store is not None else None,
-            done_blocks=tuple(sorted(prior_blocks + tuple(done))),
+    def partial(quarantined=None) -> CampaignMeta:
+        """Fold the out-of-order blocks too: the spec of what is done."""
+        fold(sorted(early.items()))
+        early.clear()
+        return replace(
+            spec, done_blocks=tuple(sorted(folded)),
             quarantined_blocks=quarantined,
         )
 
-    def _salvage(
-        completed: list[tuple[Block, FrustrationCloud]],
-    ) -> FrustrationCloud | None:
-        """Checkpoint every completed block (plus the resume base) with
-        its ``done_blocks`` recorded; returns the salvage cloud, or
-        ``None`` when there is nothing to save or nowhere to put it."""
-        if checkpoint_path is None or not (completed or base is not None):
-            return None
-        salvage = _merge_completed(completed)
-        salvage.metrics = get_registry().snapshot()
-        save_cloud(
-            salvage,
-            checkpoint_path,
-            campaign=_partial_campaign(tuple(b for b, _c in completed)),
-            keep=keep_checkpoints,
-        )
-        journal_event(
-            "salvage_written",
-            blocks=len(completed),
-            states=salvage.num_states,
-            path=str(checkpoint_path),
-        )
-        return salvage
-
-    journal_event(
-        "campaign_started",
-        driver="pool",
-        num_states=num_states,
-        workers=workers,
-        method=method,
-        kernel=kernel,
-        seed=frozen,
-        batch_size=batch_size,
-        swaps_per_state=swaps_per_state,
-        resumed_states=base_states,
-        blocks=len(blocks),
-        vertices=graph.num_vertices,
-        edges=graph.num_edges,
-        graph_store=str(store.path) if store is not None else None,
-        steal_chunks=steal_chunks,
-    )
-
-    def _block_event(name: str, block: Block, **extra) -> None:
-        """Journal a block event, tagging swap blocks with the chain
-        segment their start index enters at."""
-        if method == "swap":
-            extra["chain_segment_start"] = _chain_segment_start(block[0])
-        journal_event(
-            name, block=block[0], stop=block[1], step=block[2], **extra
-        )
-
-    def _campaign() -> FrustrationCloud:
-        if not blocks:
-            return _finalize(base)
-
-        if policy is not None:
-            return _run_supervised_campaign(
-                graph, blocks, workers=workers, method=method, kernel=kernel,
-                frozen=frozen, store_states=store_states,
-                batch_size=batch_size, swaps_per_state=swaps_per_state,
-                policy=policy, fault=fault, finalize=_finalize,
-                merge_completed=_merge_completed, salvage=_salvage,
-                partial_campaign=_partial_campaign,
-                checkpoint_path=checkpoint_path,
-                keep_checkpoints=keep_checkpoints,
-                graph_store=store,
-                flight_dir=flight_dir,
-            )
-
-        if workers == 1 or len(blocks) == 1:
-            # The in-process path never touches the worker slot, but a
-            # slot populated by an earlier campaign in this process
-            # must not leak into whatever runs here next.
-            _reset_worker_slot()
-            merged = (
-                base
-                if base is not None
-                else FrustrationCloud(graph, store_states=store_states)
-            )
-            done: list[tuple[Block, FrustrationCloud]] = []
-            block = blocks[0]
-            try:
-                _absorb_metrics(merged)
-                for block in blocks:
-                    local = _run_block(
-                        graph, method, kernel, frozen, block, store_states,
-                        batch_size, fault, swaps_per_state,
-                    )
-                    done.append((block, local))
-                    _block_event(
-                        "block_completed", block, states=local.num_states,
-                        worker=getattr(local, "worker_pid", None),
-                    )
-                    merged.merge(local)
-                    _absorb_metrics(local)
-            except BaseException as exc:
-                # Salvage exactly like the pool path: every block that
-                # completed before the crash (or interrupt) is
-                # checkpointed, so the campaign loses only the in-flight
-                # block.  KeyboardInterrupt and kin re-raise unchanged.
-                salvaged = None
-                if checkpoint_path is not None and (
-                    done or base is not None
-                ):
-                    merged.metrics = get_registry().snapshot()
-                    save_cloud(
-                        merged,
-                        checkpoint_path,
-                        campaign=_partial_campaign(
-                            tuple(b for b, _c in done)
-                        ),
-                        keep=keep_checkpoints,
-                    )
-                    journal_event(
-                        "salvage_written",
-                        blocks=len(done),
-                        states=merged.num_states,
-                        path=str(checkpoint_path),
-                    )
-                    salvaged = merged
-                if not isinstance(exc, Exception):
-                    raise
-                detail = (
-                    f"in-process block {block} crashed: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                if salvaged is not None:
-                    raise EngineError(
-                        f"{detail}; salvaged {len(done)} completed "
-                        f"block(s) ({salvaged.num_states} states) to "
-                        f"{checkpoint_path} — finish with "
-                        "sample_cloud_pool(..., resume_from=...)"
-                    ) from exc
-                raise EngineError(detail) from exc
-            return _finalize(merged)
-
-        completed: list[tuple[Block, FrustrationCloud]] = []
-        failures: list[tuple[Block, BaseException]] = []
-        if store is not None:
-            initializer, initargs = (
-                _init_worker_store,
-                (str(store.path), store.fingerprint, flight_dir),
-            )
-        else:
-            initializer, initargs = (
-                _init_worker, (graph, fingerprint, flight_dir),
-            )
-        # The campaign span's context (when a collector is installed)
-        # is what every worker's block span chains under.
-        ctx = current_trace()
-        trace = ctx.to_dict() if ctx is not None else None
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(blocks)),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _worker, method, kernel, frozen, block, store_states,
-                    batch_size, fault, swaps_per_state, fingerprint, trace,
-                ): block
-                for block in blocks
-            }
-            try:
-                for future in as_completed(futures):
-                    block = futures[future]
-                    try:
-                        completed.append((block, future.result()))
-                        _block_event(
-                            "block_completed", block,
-                            states=completed[-1][1].num_states,
-                            worker=getattr(
-                                completed[-1][1], "worker_pid", None
-                            ),
-                        )
-                    except Exception as exc:
-                        failures.append((block, exc))
-                        _block_event(
-                            "block_failed", block,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-            except BaseException:
-                # A KeyboardInterrupt (parent-side ^C, or one shipped
-                # back from a worker) bypasses the Exception handler
-                # above.  Without this, every completed block would be
-                # lost: write the salvage checkpoint, then re-raise
-                # unchanged.
-                pool.shutdown(wait=False, cancel_futures=True)
-                _salvage(completed)
-                raise
-
-        if failures:
-            failures.sort(key=lambda pair: pair[0][0])
-            block, exc = failures[0]
-            detail = (
-                f"pool worker crashed on block {block}: "
-                f"{type(exc).__name__}: {exc}"
-            )
-            salvage = _salvage(completed)
-            if salvage is not None:
-                raise EngineError(
-                    f"{detail}; salvaged {len(completed)} completed "
-                    f"block(s) ({salvage.num_states} states) to "
-                    f"{checkpoint_path} — finish with "
-                    "sample_cloud_pool(..., resume_from=...)"
-                ) from exc
-            raise EngineError(detail) from exc
-
-        _steal_summary(completed, workers)
-        return _finalize(_merge_completed(completed))
-
     with collecting() as metrics, span("campaign"):
-        cloud = _campaign()
+        _absorb_metrics(merged)
+        supervisor = CampaignSupervisor(
+            graph, blocks, spec, workers=workers, policy=policy,
+            fault=fault, flight_dir=flight_dir, on_complete=on_complete,
+        )
+        try:
+            _completed, report = supervisor.run()
+        except BaseException as exc:
+            count = len(supervisor.completed)
+            if checkpoint_path is None or not (count or base is not None):
+                raise
+            writer.campaign = partial()
+            merged.metrics = get_registry().snapshot()
+            writer.write(merged)
+            journal_event(
+                "salvage_written", blocks=count,
+                states=merged.num_states, path=str(checkpoint_path),
+            )
+            if not isinstance(exc, EngineError):
+                raise
+            raise EngineError(
+                f"{exc}; salvaged {count} completed block(s) "
+                f"({merged.num_states} states) to {checkpoint_path} — "
+                "finish with sample_cloud_pool(..., resume_from=...)"
+            ) from exc
+        if not report.ok:
+            writer.campaign = partial(report.quarantined_blocks or None)
+            if merged.num_states == 0:
+                raise SupervisorError(
+                    "supervised campaign produced no states "
+                    f"({report.summary()})", report=report,
+                )
+        _steal_summary(supervisor.completed, workers)
+        merged.metrics = get_registry().snapshot()
+        writer.write(merged)
+    if checkpoint_path is not None or getattr(merged, "campaign_meta", None):
+        # The spec of the checkpoint chain this cloud belongs to.
+        merged.campaign_meta = writer.campaign
+    merged.metrics = report.metrics = metrics.snapshot()
+    if policy is not None:
+        merged.run_report = report
     journal_event(
-        "campaign_completed", driver="pool", states=cloud.num_states
+        "campaign_completed", driver=driver, states=merged.num_states
     )
-    # The campaign window (worker snapshots merged in, plus the closed
-    # campaign span) supersedes whatever _finalize embedded in the
-    # checkpoint moments earlier.
-    snap = metrics.snapshot()
-    cloud.metrics = snap
-    report = getattr(cloud, "run_report", None)
-    if report is not None:
-        report.metrics = snap
-    return cloud
+    return merged
 
 
 def _steal_summary(
     completed: Sequence[tuple[Block, FrustrationCloud]], workers: int
 ) -> None:
-    """Journal the per-worker block/state tallies of a pool campaign
-    and gauge the imbalance, so operators can see the dynamic schedule
-    work-stealing actually produced."""
+    """Journal and gauge the per-worker block/state tallies of a pool
+    campaign (the schedule work-stealing actually produced)."""
     per_worker: dict[int, list[int]] = {}
     for block, local in completed:
         pid = getattr(local, "worker_pid", None)
-        if pid is None:
+        if pid is None or pid == os.getpid():
             continue
         tally = per_worker.setdefault(int(pid), [0, 0])
         tally[0] += 1
@@ -990,74 +575,62 @@ def _steal_summary(
     )
 
 
-def _run_supervised_campaign(
+def sample_cloud_pool(
     graph: SignedGraph,
-    blocks: Sequence[Block],
-    *,
-    workers: int,
-    method: str,
-    kernel: str,
-    frozen: int,
-    store_states: bool,
-    batch_size: int,
-    swaps_per_state: int,
-    policy,
-    fault,
-    finalize,
-    merge_completed,
-    salvage,
-    partial_campaign,
-    checkpoint_path,
-    keep_checkpoints: int,
-    graph_store: GraphStore | None = None,
+    num_states: int,
+    workers: int = 2,
+    method: str | None = None,
+    kernel: str | None = None,
+    seed: SeedLike = None,
+    store_states: bool | None = None,
+    batch_size: int | str | None = None,
+    checkpoint_path=None,
+    keep_checkpoints: int = 1,
+    resume_from=None,
+    fault: Callable[[Block], None] | None = None,
+    policy: "RetryPolicy | None" = None,
+    swaps_per_state: int | None = None,
+    graph_store: StoreLike | None = None,
+    steal_chunks: int | None = None,
     flight_dir: str | None = None,
 ) -> FrustrationCloud:
-    """Drive *blocks* through the self-healing supervisor and shape the
-    outcome back into :func:`sample_cloud_pool`'s contract.
+    """Alg. 2 with tree-level process parallelism: attribute for
+    attribute ``sample_cloud`` with the same seed (``workers=1`` runs
+    in-process).  Parameters left ``None`` take the defaults (``bfs``,
+    ``lockstep``, seed 0, batch 1) or the ``resume_from`` checkpoint's.
 
-    A fully-healed campaign finalizes exactly like an unfaulted one (so
-    the result is bit-identical).  A campaign with quarantined or
-    deadline-abandoned blocks returns the partial cloud with
-    ``done_blocks`` (and the quarantine list) checkpointed and recorded
-    in ``campaign_meta`` so ``resume_from`` re-attempts precisely the
-    missing work.  Either way the :class:`~repro.parallel.supervisor.
-    RunReport` rides along as ``cloud.run_report``.
+    ``checkpoint_path`` checkpoints the finished campaign — or, when a
+    block fails or raises :class:`KeyboardInterrupt`, salvages every
+    completed block before the :class:`~repro.errors.EngineError` or the
+    interrupt propagates; ``resume_from`` reruns only missing blocks.
+    *fault* (:class:`repro.util.faults.WorkerCrash`) sees each block
+    first.  ``policy`` enables the self-healing supervisor
+    (``cloud.run_report``; a partial campaign records ``done_blocks``).
+    ``graph_store`` (a store holding *graph*, or its path) has workers
+    map the packed graph.  ``steal_chunks=K`` runs K contiguous blocks
+    (``4–8 × workers``) so stragglers delay only themselves;
+    ``flight_dir`` arms a crash flight recorder in every worker.
     """
-    from repro.cloud.checkpoint import save_cloud
-    from repro.parallel.supervisor import CampaignSupervisor
-
-    supervisor = CampaignSupervisor(
-        graph, blocks, method=method, kernel=kernel, seed=frozen,
-        store_states=store_states, batch_size=batch_size, workers=workers,
-        policy=policy, fault=fault, swaps_per_state=swaps_per_state,
-        graph_store=graph_store, flight_dir=flight_dir,
-    )
-    try:
-        completed, report = supervisor.run()
-    except BaseException:
-        # Parent-side interrupt: the ladder consumes block faults, so
-        # anything escaping is a stop request — salvage and re-raise.
-        salvage(supervisor.completed)
-        raise
-    if report.ok:
-        result = finalize(merge_completed(completed))
-        result.run_report = report
-        return result
-    merged = merge_completed(completed)
-    if merged.num_states == 0:
-        raise SupervisorError(
-            f"supervised campaign produced no states ({report.summary()})",
-            report=report,
+    if workers < 1:
+        raise EngineError("workers must be positive")
+    if steal_chunks is not None and steal_chunks < 1:
+        raise EngineError("steal_chunks must be positive")
+    base, stored, done = None, None, ()
+    if resume_from is not None:
+        base, stored, _source = recover_cloud(resume_from, graph)
+        done = (
+            stored.done_blocks
+            if stored is not None and stored.done_blocks is not None
+            else ((0, base.num_states, 1),)
         )
-    meta = partial_campaign(
-        tuple(b for b, _c in completed),
-        report.quarantined_blocks or None,
+    spec = CampaignMeta.build(
+        graph, stored, method=method, kernel=kernel, seed=seed,
+        batch_size=batch_size, store_states=store_states,
+        swaps_per_state=swaps_per_state, graph_store=graph_store,
     )
-    if checkpoint_path is not None:
-        merged.metrics = get_registry().snapshot()
-        save_cloud(
-            merged, checkpoint_path, campaign=meta, keep=keep_checkpoints
-        )
-    merged.campaign_meta = meta
-    merged.run_report = report
-    return merged
+    return run_campaign(
+        graph, spec, num_states, workers=workers, base=base, done=done,
+        steal_chunks=steal_chunks, policy=policy, fault=fault,
+        checkpoint_path=checkpoint_path, keep_checkpoints=keep_checkpoints,
+        flight_dir=flight_dir,
+    )

@@ -1,64 +1,38 @@
-"""Self-healing campaign supervisor: retries, timeouts, backoff,
-quarantine, and graceful degradation for pool cloud sampling.
+"""The campaign driver: runs campaign blocks in a process pool or
+in-process, optionally under a self-healing fault ladder.
 
-The block-parallel campaign driver (:mod:`repro.parallel.pool`) fans a
-cloud campaign out over ``(start, stop, step)`` tree-index blocks.
-Without supervision, one crashed worker aborts the campaign (leaving a
-salvage checkpoint the *user* must resume by hand) and one hung worker
-stalls it forever.  This module wraps the same dataflow in a
-fault-handling ladder so a campaign heals itself instead:
+The pool rung serves ``workers > 1`` with more than one block; blocks
+otherwise run in-process, as do blocks degrading off the pool.  Without
+a :class:`RetryPolicy` the first failing block stops the campaign.  With
+one, a campaign heals itself:
 
-1. **Retry in the pool.**  A block whose worker raises is resubmitted
-   up to ``max_retries`` times, after an exponential backoff with
-   deterministic jitter (see :meth:`RetryPolicy.backoff_seconds`).
-2. **Watchdog timeouts.**  With ``block_timeout`` set, the supervisor's
-   wait loop acts as a watchdog over the executor's futures: a block
-   that exceeds its wall-clock budget is declared hung, the worker
-   processes are terminated (a hung future cannot be cancelled), the
-   pool is rebuilt, and innocent in-flight blocks are requeued without
-   burning one of their attempts.
-3. **Fresh pool after a break.**  ``BrokenProcessPool`` poisons every
-   in-flight future without saying *which* block killed the worker, so
-   the suspects are re-run one at a time in a fresh pool — an attempt
-   is charged only when a block fails alone and the attribution is
-   unambiguous.  Innocent suspects complete; the poison block walks its
-   own retry ladder.
-4. **In-process degradation.**  A block that exhausts its pool retries
-   with ordinary exceptions is re-run sequentially in the parent
-   process (``degrade=True``), which removes the pool infrastructure —
-   pickling, worker state, process scheduling — from the equation.
-   Blocks that *hung* or *killed a worker process* never degrade: an
-   in-process hang cannot be interrupted and an in-process hard crash
-   would take the campaign down with it.
-5. **Poison-block quarantine.**  A block that still fails is recorded
-   in the :class:`RunReport` and *skipped* — the campaign completes
-   with the surviving blocks rather than sinking.  The checkpoint
-   records quarantined blocks (they are excluded from ``done_blocks``),
-   so a later resume re-attempts exactly them.
-6. **Campaign deadline.**  With ``deadline`` set, the supervisor stops
-   submitting once the wall-clock budget expires, tears the pool down,
-   and hands the completed blocks back for a clean checkpoint — the
-   campaign stops on its own terms instead of being killed mid-flight.
+1. **Retry** a failed block up to ``max_retries`` times after a
+   deterministic exponential backoff.
+2. **Watchdog**: a block past ``block_timeout`` is declared hung, the
+   workers are terminated, the pool is rebuilt, and innocent in-flight
+   blocks are requeued without burning an attempt.
+3. **Broken pool**: ``BrokenProcessPool`` does not say which block
+   killed the worker, so the suspects re-run one at a time.
+4. **Degrade**: a block out of pool retries re-runs in the parent
+   (never one that hung or killed a worker).
+5. **Quarantine** a block that still fails; the checkpoint records it
+   apart from ``done_blocks`` so a resume re-attempts it.
+6. **Deadline / stop**: stop submitting, tear the pool down, and hand
+   the completed blocks back for a clean checkpoint.
 
-Determinism: a block's result depends only on its ``(start, stop,
-step)`` indices and the campaign seed (:class:`~repro.trees.sampler.
-TreeSampler` hands out tree *i* deterministically), so retries, pool
-rebuilds, and in-process degradation cannot change what a block
-computes — only *whether* it completes.  The caller merges completed
-blocks in sorted block order, so a campaign that heals is bit-identical
-to one that never faulted (tested in
-``tests/parallel/test_supervisor.py``).
-
-Every fault, retry, backoff, teardown, degradation, and quarantine is
-recorded as a :class:`FaultEvent` in the :class:`RunReport`, which the
-pool driver attaches to the returned cloud (``cloud.run_report``) and
-which dumps to JSON for operators.
+A pool that finished cleanly is shut down with ``wait=True`` so worker
+exit hooks run; only hung or broken pools are terminated.  A block's
+result depends only on its indices and the seed, so healing changes
+*whether* a block completes, never what it computes.  Every fault is a
+:class:`FaultEvent` in the :class:`RunReport` (``cloud.run_report``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -68,8 +42,17 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, Tuple
 
-from repro.errors import SupervisorError
+from repro.cloud.checkpoint import CampaignMeta
+from repro.errors import EngineError, SupervisorError
 from repro.graph.csr import SignedGraph
+from repro.graph.store import graph_fingerprint
+from repro.parallel.pool import (
+    _init_worker,
+    _init_worker_store,
+    _reset_worker_slot,
+    _worker,
+    run_block,
+)
 from repro.perf.journal import journal_event
 from repro.perf.registry import get_registry
 from repro.perf.tracectx import current_trace
@@ -83,9 +66,8 @@ __all__ = [
 
 Block = Tuple[int, int, int]
 
-#: Minimum wait-loop granularity: the supervisor never blocks longer
-#: than this without re-checking timeouts, cooled retries, and the
-#: campaign deadline.
+#: The longest the wait loop blocks between checks of timeouts, cooled
+#: retries and the deadline.
 _TICK = 0.05
 
 
@@ -93,16 +75,12 @@ _TICK = 0.05
 class RetryPolicy:
     """Fault-handling knobs for a supervised campaign.
 
-    ``max_retries`` counts *re*-attempts: a block is tried at most
-    ``max_retries + 1`` times in the pool before it degrades or is
-    quarantined.  ``block_timeout`` (seconds, ``None`` = unlimited) is
-    each attempt's wall-clock budget; ``deadline`` (seconds, ``None`` =
-    unlimited) is the whole campaign's.  The backoff before retry *k*
-    (1-based) is ``min(backoff_max, backoff_base * backoff_factor**(k-1))
-    * (1 + j)`` where ``j ∈ [0, jitter)`` is deterministic in
-    ``(seed, block, k)`` — reruns of a campaign sleep the same amounts.
-    ``degrade=False`` disables the in-process fallback rung (stubborn
-    blocks go straight to quarantine).
+    A block is tried at most ``max_retries + 1`` times in the pool;
+    ``block_timeout`` bounds each attempt and ``deadline`` the campaign
+    (seconds, ``None`` = unlimited).  Retry *k* backs off
+    ``min(backoff_max, backoff_base * backoff_factor**(k-1)) * (1 + j)``,
+    ``j ∈ [0, jitter)`` deterministic in ``(seed, block, k)``.
+    ``degrade=False`` sends stubborn blocks straight to quarantine.
     """
 
     max_retries: int = 2
@@ -115,40 +93,26 @@ class RetryPolicy:
     degrade: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise SupervisorError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.block_timeout is not None and self.block_timeout <= 0:
-            raise SupervisorError(
-                f"block_timeout must be positive, got {self.block_timeout}"
-            )
-        if self.backoff_base < 0:
-            raise SupervisorError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.backoff_factor < 1.0:
-            raise SupervisorError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.backoff_max < 0:
-            raise SupervisorError(
-                f"backoff_max must be >= 0, got {self.backoff_max}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise SupervisorError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-        if self.deadline is not None and self.deadline <= 0:
-            raise SupervisorError(
-                f"deadline must be positive, got {self.deadline}"
-            )
+        rules = [
+            ("max_retries", self.max_retries >= 0, ">= 0"),
+            ("block_timeout",
+             self.block_timeout is None or self.block_timeout > 0, "positive"),
+            ("backoff_base", self.backoff_base >= 0, ">= 0"),
+            ("backoff_factor", self.backoff_factor >= 1.0, ">= 1"),
+            ("backoff_max", self.backoff_max >= 0, ">= 0"),
+            ("jitter", 0.0 <= self.jitter <= 1.0, "in [0, 1]"),
+            ("deadline", self.deadline is None or self.deadline > 0, "positive"),
+        ]
+        for name, ok, rule in rules:
+            if not ok:
+                raise SupervisorError(
+                    f"{name} must be {rule}, got {getattr(self, name)}"
+                )
 
     def backoff_seconds(self, seed: int, block: Block, retry: int) -> float:
         """Deterministic backoff before the *retry*-th re-attempt
         (1-based) of *block*: exponential growth, capped, with a jitter
-        fraction drawn from a hash of ``(seed, block, retry)`` so two
-        runs of the same campaign back off identically."""
+        fraction drawn from a hash of ``(seed, block, retry)``."""
         if retry < 1:
             raise SupervisorError(f"retry must be >= 1, got {retry}")
         base = min(
@@ -168,8 +132,8 @@ class FaultEvent:
     """One entry of the supervisor's structured fault log."""
 
     t: float  #: seconds since campaign start
-    kind: str  #: failure | timeout | backoff | suspect | pool_rebuild |
-    #:  requeue | degrade | quarantine | deadline | stop
+    kind: str  #: failure | crash | timeout | backoff | suspect |
+    #:  pool_rebuild | requeue | degrade | quarantine | deadline | stop
     block: Block | None
     attempt: int
     detail: str
@@ -177,23 +141,10 @@ class FaultEvent:
 
 @dataclass
 class RunReport:
-    """What a supervised campaign survived.
-
-    Attached to the returned cloud as ``cloud.run_report``; dump with
-    :meth:`to_json` / :meth:`dump` for operators.  ``completed`` holds
-    every block that produced states (in merge order), ``quarantined``
-    the blocks given up on (with attempt counts and last error),
-    ``remaining`` the blocks abandoned un-attempted when the deadline
-    expired, and ``events`` the full chronological fault log.
-
-    Timestamps: every duration in the report (event ``t`` offsets,
-    ``wall_seconds``, backoff delays) is measured on the monotonic
-    clock, so NTP steps and DST changes mid-campaign cannot corrupt
-    them; ``started_at_unix`` is the single wall-clock anchor (one
-    ``time.time()`` read at campaign start) that lets operators place
-    the monotonic offsets in calendar time.  ``metrics`` carries the
-    campaign's merged metrics snapshot when the pool driver ran with
-    metrics enabled.
+    """What a supervised campaign survived (``cloud.run_report``): the
+    completed, quarantined (with attempts and last error) and abandoned
+    (``remaining``) blocks, and the chronological fault log.  Durations
+    are monotonic; ``started_at_unix`` is the one wall-clock anchor.
     """
 
     policy: RetryPolicy
@@ -224,30 +175,8 @@ class RunReport:
 
     def to_dict(self) -> dict:
         """JSON-ready dict: policy knobs, per-block outcomes, counters,
-        and the chronological fault log."""
-        return {
-            "policy": asdict(self.policy),
-            "blocks_total": self.blocks_total,
-            "completed": [list(b) for b in self.completed],
-            "quarantined": [
-                {**q, "block": list(q["block"])} for q in self.quarantined
-            ],
-            "remaining": [list(b) for b in self.remaining],
-            "degraded": [list(b) for b in self.degraded],
-            "events": [
-                {**asdict(e), "block": list(e.block) if e.block else None}
-                for e in self.events
-            ],
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "deadline_hit": self.deadline_hit,
-            "stopped": self.stopped,
-            "wall_seconds": self.wall_seconds,
-            "started_at_unix": self.started_at_unix,
-            "metrics": self.metrics,
-            "ok": self.ok,
-        }
+        the chronological fault log, and ``ok``."""
+        return {**json.loads(json.dumps(asdict(self))), "ok": self.ok}
 
     def to_json(self, indent: int = 2) -> str:
         """Serialize :meth:`to_dict` as a JSON string."""
@@ -276,148 +205,89 @@ class RunReport:
         return "; ".join(parts)
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Kill a pool whose workers may be hung.  ``Future.cancel`` cannot
-    stop a running call, so the worker processes are terminated
-    directly and the executor abandoned."""
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.terminate()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - best-effort teardown
-        pass
+#: FaultEvent kind -> journal event kind.  Backoff and degrade journal
+#: dedicated events where the matching RunReport counter changes, so a
+#: summarized journal reconciles exactly with the report.
+_JOURNAL_KINDS = {
+    "failure": "block_failed",
+    "crash": "block_failed",
+    "timeout": "block_timeout",
+    "suspect": "worker_suspected",
+    "requeue": "block_requeued",
+    "pool_rebuild": "pool_rebuilt",
+    "quarantine": "block_quarantined",
+    "deadline": "deadline_hit",
+    "stop": "campaign_stopped",
+}
 
 
 class CampaignSupervisor:
-    """One supervised campaign run.  See the module docstring for the
-    ladder; :func:`run_supervised` is the public entry point."""
+    """One run of the driver over *blocks* of the campaign *spec*.
+    Unsupervised (``policy=None``), the first failure stops submission
+    and, once in-flight blocks finish, raises (``completed`` keeps what
+    finished).  *on_complete* sees each ``(block, block_cloud)``."""
 
     def __init__(
         self,
         graph: SignedGraph,
         blocks: Sequence[Block],
+        spec: CampaignMeta,
         *,
-        method: str,
-        kernel: str,
-        seed: int,
-        store_states: bool,
-        batch_size: int,
-        workers: int,
-        policy: RetryPolicy,
+        workers: int = 1,
+        policy: RetryPolicy | None = None,
         fault: Callable[[Block], None] | None = None,
-        swaps_per_state: int = 1,
-        graph_store=None,
         stop_event: "threading.Event | None" = None,
         flight_dir: str | None = None,
+        on_complete: Callable[[Block, object], None] | None = None,
     ) -> None:
-        from repro.graph.store import GraphStore, graph_fingerprint
-
-        self.graph = graph
-        # Zero-copy mode: workers map the packed store file instead of
-        # receiving a pickled graph, and every pool rebuild reopens the
-        # mapping (a header read) instead of re-pickling.  The campaign
-        # fingerprint pins the graph identity either way; each task
-        # carries it so a stale worker slot is detected (and, for
-        # store-backed workers, healed) rather than trusted.
-        if graph_store is not None and not isinstance(graph_store, GraphStore):
-            graph_store = GraphStore.open(graph_store)
-        self.graph_store: GraphStore | None = graph_store
-        self.fingerprint = graph_fingerprint(graph)
-        if graph_store is not None and (
-            graph_store.fingerprint != self.fingerprint
-        ):
-            raise SupervisorError(
-                f"graph store {graph_store.path} holds a different graph "
-                "than the one being supervised (fingerprint mismatch)"
-            )
+        self.graph, self.spec, self.workers = graph, spec, workers
         self.blocks = [tuple(int(x) for x in b) for b in blocks]
-        self.method = method
-        self.kernel = kernel
-        self.seed = seed
-        self.store_states = store_states
-        self.batch_size = batch_size
-        self.workers = workers
-        self.policy = policy
-        self.fault = fault
-        self.swaps_per_state = swaps_per_state
-        self.stop_event = stop_event
-        self.flight_dir = flight_dir
-        # The ambient trace context (the campaign span's, or a serve
-        # request's) at construction time is what every pool task's
-        # block span chains under; None when no trace is being
-        # collected, keeping task payloads unchanged.
+        self.fail_fast = policy is None
+        self.policy = policy or RetryPolicy(max_retries=0, degrade=False)
+        self.fault, self.stop_event = fault, stop_event
+        self.flight_dir, self.on_complete = flight_dir, on_complete
+        self.pooled = workers > 1 and len(self.blocks) > 1
+        # Pool tasks carry the graph fingerprint and the trace context
+        # their block spans chain under.
+        self.fingerprint = graph_fingerprint(graph) if self.pooled else None
         ctx = current_trace()
         self.trace = ctx.to_dict() if ctx is not None else None
-
-        self.report = RunReport(policy=policy, blocks_total=len(self.blocks))
-        self.completed: list[tuple[Block, object]] = []
-        # (block, attempt) ready to submit; attempt is 1-based.
-        self.pending: deque[tuple[Block, int]] = deque(
-            (b, 1) for b in self.blocks
-        )
-        # (ready_time, block, attempt) sleeping out a backoff.
-        self.cooling: list[tuple[float, Block, int]] = []
-        # Blocks in flight when the pool broke: re-run one at a time so
-        # the poison block is attributed unambiguously.
-        self.suspects: deque[tuple[Block, int]] = deque()
-        # Blocks that exhausted pool retries and degrade in-process.
-        self.degrade_queue: deque[tuple[Block, int]] = deque()
-        self.pool: ProcessPoolExecutor | None = None
-        # Monotonic origin for every duration; the one-and-only
-        # wall-clock read anchors the report in calendar time.
-        self.start = time.monotonic()
+        self.report = RunReport(self.policy, blocks_total=len(self.blocks))
         self.report.started_at_unix = time.time()
+        self.start = time.monotonic()
+        self.completed: list[tuple[Block, object]] = []
+        self.failures: list[tuple[Block, str, BaseException | None]] = []
+        # Queues of (block, attempt), attempt 1-based: ready to submit;
+        # in flight when the pool broke (re-run one at a time, so the
+        # poison block is attributed unambiguously); out of pool retries
+        # and degrading in-process.  Cooling entries wait out a backoff.
+        self.pending = deque((b, 1) for b in self.blocks)
+        self.suspects: deque = deque()
+        self.degrade_queue: deque = deque()
+        self.cooling: list[tuple[float, Block, int]] = []
+        self.pool: ProcessPoolExecutor | None = None
 
     # -- bookkeeping ---------------------------------------------------
-
-    #: FaultEvent kind -> campaign-journal event kind.  Kinds absent
-    #: here (backoff, degrade) have dedicated journal events emitted at
-    #: the sites where the matching RunReport counter changes, so a
-    #: summarized journal reconciles exactly with the report.
-    _JOURNAL_KINDS = {
-        "failure": "block_failed",
-        "crash": "block_failed",
-        "timeout": "block_timeout",
-        "suspect": "worker_suspected",
-        "requeue": "block_requeued",
-        "pool_rebuild": "pool_rebuilt",
-        "quarantine": "block_quarantined",
-        "deadline": "deadline_hit",
-        "stop": "campaign_stopped",
-    }
-
     def _event(
         self, kind: str, block: Block | None, attempt: int, detail: str
     ) -> None:
-        self.report.events.append(
-            FaultEvent(
-                t=round(time.monotonic() - self.start, 4),
-                kind=kind,
-                block=block,
-                attempt=attempt,
-                detail=detail,
-            )
-        )
-        journal_kind = self._JOURNAL_KINDS.get(kind)
-        if journal_kind is not None:
+        t = round(time.monotonic() - self.start, 4)
+        self.report.events.append(FaultEvent(t, kind, block, attempt, detail))
+        if kind in _JOURNAL_KINDS:
             journal_event(
-                journal_kind,
-                block=block[0] if block is not None else None,
-                attempt=attempt,
-                detail=detail,
+                _JOURNAL_KINDS[kind], block=block[0] if block else None,
+                attempt=attempt, detail=detail,
             )
 
     def _complete(self, block: Block, local) -> None:
-        """Record one completed block (all ladder rungs funnel here)."""
+        """Record one completed block (every rung funnels here)."""
         self.completed.append((block, local))
         journal_event(
             "block_completed", block=block[0], stop=block[1], step=block[2],
-            states=getattr(local, "num_states", None),
-            worker=getattr(local, "worker_pid", None),
+            states=local.num_states, worker=getattr(local, "worker_pid", None),
         )
+        if self.on_complete is not None:
+            self.on_complete(block, local)
 
     def _deadline_left(self) -> float | None:
         if self.policy.deadline is None:
@@ -432,17 +302,22 @@ class CampaignSupervisor:
         self._event("quarantine", block, attempt, detail)
 
     def _register_failure(
-        self, block: Block, attempt: int, kind: str, detail: str
+        self, block: Block, attempt: int, kind: str, detail: str,
+        exc: BaseException | None = None,
     ) -> None:
         """One attempt of *block* failed; climb the ladder: backoff +
-        retry, then in-process degradation (plain failures only), then
-        quarantine."""
+        retry, then in-process degradation (plain pool failures only:
+        a hang cannot be interrupted in-process and a hard crash would
+        kill the parent), then quarantine.  Unsupervised, stop."""
         if kind == "timeout":
             self.report.timeouts += 1
             get_registry().count("supervisor.timeouts_total", 1)
         self._event(kind, block, attempt, detail)
-        if attempt <= self.policy.max_retries:
-            delay = self.policy.backoff_seconds(self.seed, block, attempt)
+        if self.fail_fast:
+            self.failures.append((block, detail, exc))
+            self.pending.clear()
+        elif attempt <= self.policy.max_retries:
+            delay = self.policy.backoff_seconds(self.spec.seed, block, attempt)
             self.report.retries += 1
             get_registry().count("supervisor.retries_total", 1)
             journal_event(
@@ -455,19 +330,21 @@ class CampaignSupervisor:
                     f"backing off {delay:.3f}s before attempt {attempt + 1}",
                 )
             self.cooling.append((time.monotonic() + delay, block, attempt + 1))
-            return
-        # Pool retries exhausted.  Hung blocks cannot be interrupted
-        # in-process and crash blocks would kill the parent, so only
-        # ordinary failures take the degradation rung.
-        if self.policy.degrade and kind == "failure" and self.workers > 1:
+        elif self.policy.degrade and kind == "failure" and self.pooled:
             self.degrade_queue.append((block, attempt + 1))
             self._event(
-                "degrade", block, attempt,
-                "pool retries exhausted; falling back to in-process "
-                "sequential execution",
+                "degrade", block, attempt, "pool retries exhausted; falling "
+                "back to in-process sequential execution",
             )
-            return
-        self._quarantine(block, attempt, detail)
+        else:
+            self._quarantine(block, attempt, detail)
+
+    def _suspect(self, block: Block, attempt: int) -> None:
+        self.suspects.append((block, attempt))
+        self._event(
+            "suspect", block, attempt, "pool broke with this block in "
+            "flight; will re-run isolated for attribution",
+        )
 
     # -- pool management -----------------------------------------------
     def _pool_size(self) -> int:
@@ -475,35 +352,37 @@ class CampaignSupervisor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self.pool is None:
-            from repro.parallel.pool import _init_worker, _init_worker_store
-
-            if self.graph_store is not None:
-                # Rebuilds cost a header read + mmap per worker, not a
-                # graph pickle; the page-cache copy is shared.
-                initializer = _init_worker_store
-                initargs = (
-                    str(self.graph_store.path), self.fingerprint,
-                    self.flight_dir,
-                )
-                mode = "store"
-            else:
-                initializer = _init_worker
-                initargs = (self.graph, self.fingerprint, self.flight_dir)
-                mode = "pickle"
+            # Zero-copy when the store is at hand: workers map it, and a
+            # rebuild costs a header read + mmap, not a graph pickle.
+            store = self.spec.graph_store
+            mapped = store is not None and os.path.exists(store)
             self.pool = ProcessPoolExecutor(
                 max_workers=self._pool_size(),
-                initializer=initializer,
-                initargs=initargs,
+                initializer=_init_worker_store if mapped else _init_worker,
+                initargs=(
+                    store if mapped else self.graph, self.fingerprint,
+                    self.flight_dir,
+                ),
             )
             journal_event(
-                "pool_initialized", mode=mode, workers=self._pool_size()
+                "pool_initialized", mode="store" if mapped else "pickle",
+                workers=self._pool_size(),
             )
         return self.pool
 
-    def _teardown_pool(self) -> None:
-        if self.pool is not None:
-            _terminate_pool(self.pool)
-            self.pool = None
+    def _teardown_pool(self, kill: bool = True) -> None:
+        """Shut the pool down.  A clean shutdown lets the workers exit
+        normally, so their exit hooks run; a pool that may hold a hung
+        or dead worker is killed (a running call cannot be cancelled)."""
+        pool, self.pool = self.pool, None
+        if pool is None:
+            return
+        if kill:
+            for proc in list((getattr(pool, "_processes", None) or {}).values()):
+                with contextlib.suppress(Exception):
+                    proc.terminate()
+        with contextlib.suppress(Exception):
+            pool.shutdown(wait=not kill, cancel_futures=True)
 
     def _rebuild_after(self, reason: str) -> None:
         self._teardown_pool()
@@ -513,146 +392,148 @@ class CampaignSupervisor:
 
     # -- main loop -----------------------------------------------------
     def run(self) -> tuple[list[tuple[Block, object]], RunReport]:
+        """Drive every block; returns ``(completed, report)``."""
         try:
-            if self.workers > 1 and len(self.blocks) > 1:
+            if self.pooled:
                 self._run_pooled()
             else:
                 self._run_inprocess(self.pending)
-            self._run_degraded()
+            self._teardown_pool(kill=False)  # nothing is in flight
+            self._run_inprocess(self.degrade_queue, degraded=True)
         finally:
             self._teardown_pool()
             self.report.completed = sorted(b for b, _c in self.completed)
-            self.report.wall_seconds = round(
-                time.monotonic() - self.start, 4
-            )
+            self.report.wall_seconds = round(time.monotonic() - self.start, 4)
+        for _block, _detail, exc in self.failures:
+            if exc is not None and not isinstance(exc, Exception):
+                raise exc
+        if self.failures:
+            block, detail, exc = min(self.failures, key=lambda f: f[0])
+            raise EngineError(f"block {block} crashed: {detail}") from exc
         return self.completed, self.report
 
     def _promote_cooled(self) -> None:
         now = time.monotonic()
-        still: list[tuple[float, Block, int]] = []
-        for ready, block, attempt in self.cooling:
-            if ready <= now:
-                self.pending.append((block, attempt))
-            else:
-                still.append((ready, block, attempt))
-        self.cooling = still
+        self.pending.extend((b, a) for r, b, a in self.cooling if r <= now)
+        self.cooling = [entry for entry in self.cooling if entry[0] > now]
 
-    def _stop_requested(self) -> bool:
-        return self.stop_event is not None and self.stop_event.is_set()
+    def _nap(self) -> None:
+        """Sleep toward the first cooled retry (bounded, so deadlines
+        and stop requests stay live)."""
+        pause = min(r for r, _b, _a in self.cooling) - time.monotonic()
+        left = self._deadline_left()
+        if left is not None:
+            pause = min(pause, left)
+        time.sleep(min(max(pause, 0.0), 1.0))
 
-    def _abandon_to_deadline(self, inflight: dict, kind: str = "deadline") -> None:
-        """The campaign deadline expired (or an external stop was
-        requested, ``kind="stop"``): stop cleanly, recording every
-        block that did not finish."""
-        if kind == "stop":
+    def _halted(self, inflight: dict) -> bool:
+        """Abandon the campaign when a stop was requested or the
+        deadline expired, recording every block that did not finish."""
+        left = self._deadline_left()
+        if self.stop_event is not None and self.stop_event.is_set():
             self.report.stopped = True
-        else:
+            reason, kind = "external stop requested", "stop"
+        elif left is not None and left <= 0:
             self.report.deadline_hit = True
-        left: list[Block] = []
-        left += [b for b, _a in self.pending]
-        left += [b for _r, b, _a in self.cooling]
-        left += [b for b, _a in self.suspects]
-        left += [b for b, _a in self.degrade_queue]
-        left += [b for b, _a, _t in inflight.values()]
-        self.report.remaining = sorted(set(left))
-        self.pending.clear()
-        self.cooling.clear()
-        self.suspects.clear()
-        self.degrade_queue.clear()
-        inflight.clear()
-        self._teardown_pool()
-        if kind == "stop":
-            detail = (
-                "external stop requested; "
-                f"{len(self.report.remaining)} block(s) abandoned for a "
-                "clean checkpointed stop"
-            )
+            reason = f"campaign deadline of {self.policy.deadline:.3f}s expired"
+            kind = "deadline"
         else:
-            detail = (
-                f"campaign deadline of {self.policy.deadline:.3f}s expired; "
-                f"{len(self.report.remaining)} block(s) abandoned for a "
-                "clean checkpointed stop"
-            )
-        self._event(kind, None, 0, detail)
+            return False
+        queued = [*self.pending, *self.suspects, *self.degrade_queue]
+        self.report.remaining = sorted(
+            {b for b, _a in queued}
+            | {b for _r, b, _a in self.cooling}
+            | {b for b, _a, _t in inflight.values()}
+        )
+        for queue in (self.pending, self.suspects, self.degrade_queue, inflight):
+            queue.clear()
+        self.cooling = []
+        self._teardown_pool()
+        self._event(
+            kind, None, 0, f"{reason}; {len(self.report.remaining)} block(s) "
+            "abandoned for a clean checkpointed stop",
+        )
+        return True
+
+    def _run_inprocess(self, queue: deque, degraded: bool = False) -> None:
+        """The in-process rung (``workers == 1`` or a single block) and
+        the degrade rung.  No timeouts: an in-process block cannot be
+        interrupted."""
+        if queue:
+            _reset_worker_slot()  # no stale slot leaks into in-process use
+        while (queue or self.cooling) and not self.failures:
+            if self._halted({}):
+                return
+            self._promote_cooled()
+            if not queue:
+                self._nap()
+                continue
+            block, attempt = queue.popleft()
+            try:
+                local = run_block(self.graph, self.spec, block, self.fault)
+            except Exception as exc:
+                detail = f"{type(exc).__name__}: {exc}"
+                if degraded:
+                    self._quarantine(
+                        block, attempt, f"in-process fallback failed: {detail}"
+                    )
+                else:
+                    self._register_failure(block, attempt, "failure", detail, exc)
+                continue
+            self._complete(block, local)
+            if degraded:
+                self.report.degraded.append(block)
+                journal_event("block_degraded", block=block[0])
+                self._event(
+                    "degrade", block, attempt, "in-process fallback succeeded"
+                )
 
     def _run_pooled(self) -> None:
         inflight: dict = {}  # Future -> (block, attempt, t_submit)
         while self.pending or self.cooling or self.suspects or inflight:
-            if self._stop_requested():
-                self._abandon_to_deadline(inflight, kind="stop")
-                return
-            left = self._deadline_left()
-            if left is not None and left <= 0:
-                self._abandon_to_deadline(inflight)
+            if self._halted(inflight):
                 return
             self._promote_cooled()
-
-            # Submit.  While suspects exist, run exactly one block at a
-            # time so a repeat pool break is attributed unambiguously.
+            # While suspects exist, run exactly one block at a time so a
+            # repeat pool break is attributed unambiguously.
+            source, limit = (
+                (self.suspects, 1) if self.suspects
+                else (self.pending, self._pool_size())
+            )
             try:
-                if self.suspects:
-                    if not inflight:
-                        block, attempt = self.suspects.popleft()
-                        fut = self._ensure_pool().submit(
-                            _pool_entry, self.method, self.kernel, self.seed,
-                            block, self.store_states, self.batch_size,
-                            self.fault, self.swaps_per_state,
-                            self.fingerprint, self.trace,
-                        )
-                        inflight[fut] = (block, attempt, time.monotonic())
-                else:
-                    while self.pending and len(inflight) < self._pool_size():
-                        block, attempt = self.pending.popleft()
-                        fut = self._ensure_pool().submit(
-                            _pool_entry, self.method, self.kernel, self.seed,
-                            block, self.store_states, self.batch_size,
-                            self.fault, self.swaps_per_state,
-                            self.fingerprint, self.trace,
-                        )
-                        inflight[fut] = (block, attempt, time.monotonic())
+                while source and len(inflight) < limit:
+                    block, attempt = source[0]
+                    fut = self._ensure_pool().submit(
+                        _worker, self.spec, block, self.fault,
+                        self.fingerprint, self.trace,
+                    )
+                    source.popleft()
+                    inflight[fut] = (block, attempt, time.monotonic())
             except (BrokenProcessPool, RuntimeError) as exc:
-                # The pool broke between our bookkeeping and submit;
-                # requeue and rebuild.
-                self.pending.appendleft((block, attempt))
-                for f, (b, a, _t) in list(inflight.items()):
-                    self.suspects.append((b, a))
+                self.suspects.extend((b, a) for b, a, _t in inflight.values())
                 inflight.clear()
                 self._rebuild_after(
-                    f"executor rejected submissions: "
+                    "executor rejected submissions: "
                     f"{type(exc).__name__}: {exc}"
                 )
                 continue
-
             if not inflight:
-                # Everything is cooling; sleep until the first retry is
-                # ready (bounded by the tick so deadlines stay live).
                 if self.cooling:
-                    ready = min(r for r, _b, _a in self.cooling)
-                    pause = max(0.0, ready - time.monotonic())
-                    if left is not None:
-                        pause = min(pause, max(left, 0.0))
-                    time.sleep(min(pause, 1.0) if pause > 0 else 0.0)
+                    self._nap()
                 continue
-
-            # Wait for completions, bounded by the nearest of: a block
-            # timeout expiring, a cooled retry becoming ready, the
-            # campaign deadline, and the watchdog tick.
+            # Wait, bounded by the nearest block timeout and the deadline.
             timeout = _TICK if self.cooling else 1.0
-            now = time.monotonic()
             if self.policy.block_timeout is not None:
-                nearest = min(
+                now = time.monotonic()
+                timeout = min(timeout, max(0.0, min(
                     t0 + self.policy.block_timeout - now
                     for _b, _a, t0 in inflight.values()
-                )
-                timeout = min(timeout, max(nearest, 0.0))
+                )))
+            left = self._deadline_left()
             if left is not None:
                 timeout = min(timeout, max(left, 0.0))
-            n_inflight = len(inflight)
-            done, _not_done = wait(
-                list(inflight), timeout=timeout,
-                return_when=FIRST_COMPLETED,
-            )
-
+            alone = len(inflight) == 1
+            done, _ = wait(list(inflight), timeout, FIRST_COMPLETED)
             broken = False
             for fut in done:
                 block, attempt, _t0 = inflight.pop(fut)
@@ -660,264 +541,103 @@ class CampaignSupervisor:
                     local = fut.result(timeout=0)
                 except BrokenProcessPool as exc:
                     broken = True
-                    if n_inflight == 1:
-                        # Running alone: the attribution is certain.
+                    if alone or self.fail_fast:
                         self._register_failure(
                             block, attempt, "crash",
-                            f"worker process died: {exc}",
+                            f"worker process died: {exc}", exc,
                         )
                     else:
-                        self.suspects.append((block, attempt))
-                        self._event(
-                            "suspect", block, attempt,
-                            "pool broke with this block in flight; will "
-                            "re-run isolated for attribution",
-                        )
+                        self._suspect(block, attempt)
                 except BaseException as exc:
                     self._register_failure(
                         block, attempt, "failure",
-                        f"{type(exc).__name__}: {exc}",
+                        f"{type(exc).__name__}: {exc}", exc,
                     )
                 else:
                     self._complete(block, local)
             if broken:
-                for fut, (block, attempt, _t0) in list(inflight.items()):
-                    self.suspects.append((block, attempt))
-                    self._event(
-                        "suspect", block, attempt,
-                        "pool broke with this block in flight; will "
-                        "re-run isolated for attribution",
-                    )
+                for block, attempt, _t0 in inflight.values():
+                    if self.fail_fast:
+                        self._register_failure(
+                            block, attempt, "crash",
+                            "worker process died: the pool broke",
+                        )
+                    else:
+                        self._suspect(block, attempt)
                 inflight.clear()
                 self._rebuild_after("BrokenProcessPool: worker died")
-                continue
+            elif self.policy.block_timeout is not None and inflight:
+                self._watchdog(inflight)
 
-            # Watchdog: declare blocks past their wall-clock budget
-            # hung.  A running future cannot be cancelled, so the pool
-            # is torn down; innocents are requeued without charge.
-            if self.policy.block_timeout is not None and inflight:
-                now = time.monotonic()
-                expired = [
-                    (fut, entry)
-                    for fut, entry in inflight.items()
-                    if now - entry[2] >= self.policy.block_timeout
-                    and not fut.done()
-                ]
-                if expired:
-                    expired_futs = {fut for fut, _e in expired}
-                    for fut, (block, attempt, t0) in expired:
-                        inflight.pop(fut)
-                        self._register_failure(
-                            block, attempt, "timeout",
-                            f"block exceeded block_timeout="
-                            f"{self.policy.block_timeout:.3f}s "
-                            f"(ran {now - t0:.3f}s); worker terminated",
-                        )
-                    for fut, (block, attempt, _t0) in list(inflight.items()):
-                        if fut.done():
-                            # Completed while we were deciding; harvest.
-                            continue
-                        inflight.pop(fut)
-                        self.pending.appendleft((block, attempt))
-                        self._event(
-                            "requeue", block, attempt,
-                            "requeued without charge: pool torn down to "
-                            "kill a hung sibling",
-                        )
-                    # Harvest any finished-but-unprocessed futures
-                    # before the teardown discards them.
-                    for fut, (block, attempt, _t0) in list(inflight.items()):
-                        inflight.pop(fut)
-                        try:
-                            self._complete(block, fut.result(timeout=0))
-                        except BaseException as exc:
-                            self._register_failure(
-                                block, attempt, "failure",
-                                f"{type(exc).__name__}: {exc}",
-                            )
-                    self._rebuild_after(
-                        f"terminated {len(expired_futs)} hung worker(s)"
-                    )
-
-    def _run_inprocess(self, queue: deque) -> None:
-        """Sequential ladder for ``workers == 1`` (or a single block):
-        retries and backoff apply, but there is no timeout rung — an
-        in-process block cannot be interrupted — and no degradation
-        rung, because execution is already in-process."""
-        from repro.parallel.pool import _reset_worker_slot, _run_block
-
-        # In-process execution bypasses the worker slot, but clear it
-        # anyway: a slot left behind by an earlier executor in this
-        # process must not survive into degraded/in-process reuse.
-        _reset_worker_slot()
-        while queue:
-            block, attempt = queue.popleft()
-            while True:
-                stop = self._stop_requested()
-                left = self._deadline_left()
-                if stop or (left is not None and left <= 0):
-                    requeue: deque = deque([(block, attempt)])
-                    requeue.extend(queue)
-                    queue.clear()
-                    self._abandon_to_deadline(
-                        {}, kind="stop" if stop else "deadline"
-                    )
-                    self.report.remaining = sorted(
-                        set(
-                            self.report.remaining
-                            + [b for b, _a in requeue]
-                        )
-                    )
-                    return
-                try:
-                    local = _run_block(
-                        self.graph, self.method, self.kernel, self.seed,
-                        block, self.store_states, self.batch_size,
-                        self.fault, self.swaps_per_state,
-                    )
-                except Exception as exc:
-                    if attempt <= self.policy.max_retries:
-                        self._event(
-                            "failure", block, attempt,
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                        delay = self.policy.backoff_seconds(
-                            self.seed, block, attempt
-                        )
-                        self.report.retries += 1
-                        get_registry().count("supervisor.retries_total", 1)
-                        journal_event(
-                            "block_retried", block=block[0], attempt=attempt,
-                            backoff_seconds=delay,
-                        )
-                        if delay > 0:
-                            self._event(
-                                "backoff", block, attempt,
-                                f"backing off {delay:.3f}s before attempt "
-                                f"{attempt + 1}",
-                            )
-                            time.sleep(delay)
-                        attempt += 1
-                        continue
-                    self._event(
-                        "failure", block, attempt,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                    self._quarantine(
-                        block, attempt, f"{type(exc).__name__}: {exc}"
-                    )
-                    break
-                else:
-                    self._complete(block, local)
-                    break
-
-    def _run_degraded(self) -> None:
-        """Final rung: re-run stubborn blocks sequentially in the
-        parent process."""
-        from repro.parallel.pool import _reset_worker_slot, _run_block
-
-        if self.degrade_queue:
-            _reset_worker_slot()
-        while self.degrade_queue:
-            if self._stop_requested():
-                self._abandon_to_deadline({}, kind="stop")
-                return
-            left = self._deadline_left()
-            if left is not None and left <= 0:
-                self._abandon_to_deadline({})
-                return
-            block, attempt = self.degrade_queue.popleft()
-            try:
-                local = _run_block(
-                    self.graph, self.method, self.kernel, self.seed, block,
-                    self.store_states, self.batch_size, self.fault,
-                    self.swaps_per_state,
-                )
-            except Exception as exc:
-                self._quarantine(
-                    block, attempt,
-                    f"in-process fallback failed: "
-                    f"{type(exc).__name__}: {exc}",
-                )
-            else:
-                self._complete(block, local)
-                self.report.degraded.append(block)
-                journal_event("block_degraded", block=block[0])
+    def _watchdog(self, inflight: dict) -> None:
+        """Declare blocks past their wall-clock budget hung.  A running
+        future cannot be cancelled, so the pool is torn down; innocent
+        in-flight blocks are requeued without charge."""
+        now = time.monotonic()
+        expired = [
+            fut for fut, (_b, _a, t0) in inflight.items()
+            if now - t0 >= self.policy.block_timeout and not fut.done()
+        ]
+        if not expired:
+            return
+        for fut in expired:
+            block, attempt, t0 = inflight.pop(fut)
+            self._register_failure(
+                block, attempt, "timeout",
+                f"block exceeded block_timeout="
+                f"{self.policy.block_timeout:.3f}s (ran {now - t0:.3f}s); "
+                "worker terminated",
+            )
+        for fut, (block, attempt, _t0) in list(inflight.items()):
+            del inflight[fut]
+            if not fut.done():
+                self.pending.appendleft((block, attempt))
                 self._event(
-                    "degrade", block, attempt,
-                    "in-process fallback succeeded",
+                    "requeue", block, attempt, "requeued without charge: "
+                    "pool torn down to kill a hung sibling",
                 )
-
-
-def _pool_entry(
-    method: str,
-    kernel: str,
-    seed: int,
-    block: Block,
-    store_states: bool,
-    batch_size: int,
-    fault: Callable[[Block], None] | None,
-    swaps_per_state: int = 1,
-    fingerprint: str | None = None,
-    trace: dict | None = None,
-):
-    """Picklable worker entry point (module-level for the executor)."""
-    from repro.parallel.pool import _worker
-
-    return _worker(
-        method, kernel, seed, block, store_states, batch_size, fault,
-        swaps_per_state, fingerprint, trace,
-    )
+                continue
+            try:  # finished while we were deciding: harvest it
+                self._complete(block, fut.result(timeout=0))
+            except BaseException as exc:
+                self._register_failure(
+                    block, attempt, "failure", f"{type(exc).__name__}: {exc}"
+                )
+        self._rebuild_after(f"terminated {len(expired)} hung worker(s)")
 
 
 def run_supervised(
     graph: SignedGraph,
     blocks: Sequence[Block],
     *,
-    method: str,
-    kernel: str,
-    seed: int,
-    store_states: bool,
-    batch_size: int,
-    workers: int,
-    policy: RetryPolicy,
+    method: str = "bfs",
+    kernel: str = "lockstep",
+    seed: int = 0,
+    store_states: bool = False,
+    batch_size: int | str = 1,
+    workers: int = 1,
+    policy: RetryPolicy | None = None,
     fault: Callable[[Block], None] | None = None,
     swaps_per_state: int = 1,
     graph_store=None,
     stop_event: "threading.Event | None" = None,
     flight_dir: str | None = None,
 ) -> tuple[list[tuple[Block, object]], RunReport]:
-    """Run campaign *blocks* under the fault-handling ladder.
+    """Run campaign *blocks* through the driver; returns the
+    ``(block, block_cloud)`` pairs that completed (merge them in sorted
+    block order) and the :class:`RunReport`.
 
-    Returns ``(completed, report)`` where *completed* is a list of
-    ``(block, local_cloud)`` pairs for every block that produced states
-    (callers must merge them in sorted block order for determinism) and
-    *report* is the structured :class:`RunReport`.  Exceptions raised
-    by blocks are consumed by the ladder; only a parent-side
-    :class:`KeyboardInterrupt` (and kin) propagates, so the caller can
-    salvage-checkpoint and re-raise.
-
-    ``stop_event`` (a :class:`threading.Event`) requests a cooperative
-    stop from outside — e.g. the serve daemon draining on SIGTERM: the
-    supervisor finishes nothing new once the event is set, abandons
-    remaining blocks exactly like an expired deadline (clean teardown,
-    ``report.remaining`` populated, ``report.stopped = True``), and
-    returns the blocks that did complete so the caller can checkpoint
-    them.
+    With a *policy* the ladder consumes block failures; ``policy=None``
+    raises :class:`~repro.errors.EngineError` on the first failing block.
+    Setting ``stop_event`` (the serve daemon draining) abandons the
+    remaining blocks like an expired deadline (``report.stopped``).
     """
+    spec = CampaignMeta.build(
+        graph, method=method, kernel=kernel, seed=seed,
+        batch_size=batch_size, store_states=store_states,
+        swaps_per_state=swaps_per_state, graph_store=graph_store,
+    )
     return CampaignSupervisor(
-        graph,
-        blocks,
-        method=method,
-        kernel=kernel,
-        seed=seed,
-        store_states=store_states,
-        batch_size=batch_size,
-        workers=workers,
-        policy=policy,
-        fault=fault,
-        swaps_per_state=swaps_per_state,
-        graph_store=graph_store,
-        stop_event=stop_event,
-        flight_dir=flight_dir,
+        graph, blocks, spec, workers=workers, policy=policy, fault=fault,
+        stop_event=stop_event, flight_dir=flight_dir,
     ).run()

@@ -36,6 +36,7 @@ from repro.cloud.checkpoint import CampaignMeta, save_cloud
 from repro.cloud.cloud import FrustrationCloud
 from repro.errors import CheckpointError, ServeError
 from repro.graph.csr import SignedGraph
+from repro.parallel.pool import merge_blocks
 from repro.parallel.supervisor import RetryPolicy, run_supervised
 from repro.perf.flight import flight_clear_inflight, flight_mark_inflight
 from repro.perf.journal import journal_event
@@ -98,17 +99,19 @@ class GrowthWorker:
             )
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
+        # The spec every round runs and every checkpoint stores; a
+        # recovered cloud keeps its checkpoint's spec, graph store too.
+        self.spec = CampaignMeta.build(
+            graph, getattr(cloud, "campaign_meta", None), method=method,
+            kernel=kernel, seed=seed, batch_size=batch_size,
+            store_states=cloud.store_states, swaps_per_state=swaps_per_state,
+        )
         self.graph = graph
         self.cloud = cloud
         self.snapshots = snapshots
         self.fingerprint = fingerprint
         self.target_states = target_states
         self.grow_step = grow_step
-        self.method = method
-        self.kernel = kernel
-        self.seed = seed
-        self.batch_size = batch_size
-        self.swaps_per_state = swaps_per_state
         self.checkpoint_path = checkpoint_path
         self.keep_checkpoints = keep_checkpoints
         self.policy = policy if policy is not None else RetryPolicy()
@@ -162,14 +165,7 @@ class GrowthWorker:
     # -- the campaign meta this worker's checkpoints describe -----------
     def campaign_meta(self) -> CampaignMeta:
         """The self-describing metadata stamped into every checkpoint."""
-        return CampaignMeta(
-            method=self.method,
-            kernel=self.kernel,
-            seed=self.seed,
-            batch_size=self.batch_size,
-            store_states=self.cloud.store_states,
-            swaps_per_state=self.swaps_per_state,
-        )
+        return self.spec
 
     def checkpoint(self) -> None:
         """Write an atomic rotated checkpoint of the current cloud.
@@ -233,16 +229,12 @@ class GrowthWorker:
             completed, report = run_supervised(
                 self.graph,
                 blocks,
-                method=self.method,
-                kernel=self.kernel,
-                seed=self.seed,
-                store_states=self.cloud.store_states,
-                batch_size=self.batch_size,
                 workers=self.workers,
                 policy=self.policy,
-                swaps_per_state=self.swaps_per_state,
                 stop_event=self._stop,
                 flight_dir=self.flight_dir,
+                # Workers get the in-memory graph; the store is advisory.
+                **dict(self.spec.params(), graph_store=None),
             )
         flight_clear_inflight(
             what="growth_round", block_start=start, block_stop=stop,
@@ -269,15 +261,10 @@ class GrowthWorker:
                 )
             return False
         self._failures = 0
-        from repro.parallel.pool import _absorb_metrics
-
-        for _block, local in sorted(completed, key=lambda kv: kv[0]):
-            self.cloud.merge(local)
-            # Folds each block's metrics snapshot — and its span shard,
-            # when the daemon is tracing — into the process registry/
-            # collector, so worker-side spans stitch into the trace
-            # the round ran under.
-            _absorb_metrics(local)
+        # Merging also folds each block's metrics and span shard into
+        # the process registry/collector, so worker-side spans stitch
+        # into the trace the round ran under.
+        merge_blocks(self.cloud, completed)
         return True
 
     def _publish(self) -> None:

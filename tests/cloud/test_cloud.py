@@ -129,13 +129,16 @@ class TestSampleCloud:
         assert not np.array_equal(a.status(), b.status())
 
     def test_timers_accumulate(self):
-        from repro.perf.compat import PhaseTimer
-
         g = make_connected_signed(40, 100, seed=1)
-        timers = PhaseTimer()
-        sample_cloud(g, 5, seed=0, timers=timers)
-        assert timers.counts["tree_generation"] == 5
-        assert "harary_and_status" in timers.seconds
+        cloud = sample_cloud(g, 5, seed=0)
+        counters = cloud.metrics["counters"]
+
+        def calls(name):
+            suffix = f"/{name}.calls"
+            return sum(v for k, v in counters.items() if k.endswith(suffix))
+
+        assert calls("tree_sample") == 5
+        assert calls("harary") == 5
 
     def test_status_converges_on_balanced_graph(self):
         # A balanced graph has exactly one nearest state: itself.

@@ -142,10 +142,7 @@ def test_sigkill_then_restart_serves_byte_identical_prefix(
         assert recovered % 4 == 0  # a whole number of growth rounds
 
         # Rebuild the same prefix in-process *by the same growth
-        # discipline* — rounds of grow_step merged in order.  (The
-        # coalition accumulator sums inexact fractions, so the merge
-        # grouping is part of the byte-identity contract; a sequential
-        # sample_cloud differs in the last float bits.)
+        # discipline* — rounds of grow_step merged in order.
         sub, _ = largest_connected_component(graph_file)
         fingerprint = graph_fingerprint(sub)
         rebuilt = GrowthWorker(

@@ -92,8 +92,6 @@ MODULES = [
     "repro.analysis.sensitivity",
     "repro.perf",
     "repro.perf.compat",
-    "repro.perf.counters",
-    "repro.perf.timers",
     "repro.perf.memory",
     "repro.perf.report",
     "repro.perf.registry",
