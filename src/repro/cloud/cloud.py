@@ -43,10 +43,12 @@ BATCHED_KERNELS = ("lockstep", "parity")
 def auto_batch_size(num_vertices: int) -> int:
     """A good default batch size for a graph of *num_vertices*.
 
-    States/sec climbs with B until the engine's ``(B, n)`` working set
-    falls out of cache (BENCH_cloud.json: 4000 vertices peak near
-    B=32).  Targeting ``B * n ≈ 2**17`` keeps it near a megabyte,
-    clamped to the power-of-two range [8, 64].
+    B sizes only the batched parity kernel's ``(B, n)`` working set:
+    the tree sampler draws one tree at a time and keeps no per-batch
+    scratch.  States/sec climbs with B until that working set falls
+    out of cache (BENCH_cloud.json: 4000 vertices peak near B=32).
+    Targeting ``B * n ≈ 2**17`` keeps it near a megabyte, clamped to
+    the power-of-two range [8, 64].
     """
     if num_vertices < 1:
         raise ReproError("num_vertices must be positive")

@@ -79,6 +79,32 @@ class SignedGraph:
         deg.setflags(write=False)
         return deg
 
+    @cached_property
+    def arc_source(self) -> np.ndarray:
+        """Read-only source vertex of every half-edge (the CSR row of
+        each adjacency position), cached like :attr:`degrees`."""
+        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
+        src.setflags(write=False)
+        return src
+
+    @cached_property
+    def bfs_csgraph(self):
+        """The adjacency as a scipy CSR matrix in the dtypes scipy's
+        graph traversals use natively (float64 data, int32 indices), so
+        ``scipy.sparse.csgraph.breadth_first_order`` neither copies nor
+        converts it per call.  Built once per graph."""
+        from scipy.sparse import csr_matrix
+
+        n = self.num_vertices
+        return csr_matrix(
+            (
+                np.ones(len(self.adj_vertex)),
+                self.adj_vertex.astype(np.int32),
+                self.indptr.astype(np.int32),
+            ),
+            shape=(n, n),
+        )
+
     def degree(self, v: int | None = None) -> np.ndarray | int:
         """Degree of vertex *v*, or the full degree array if ``v is None``."""
         if v is None:

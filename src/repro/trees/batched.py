@@ -1,19 +1,20 @@
-"""Batched spanning-tree sampling: grow B trees per kernel invocation.
+"""Batched spanning-tree sampling: B trees in stacked ``(B, n)`` arrays.
 
 The paper's key performance observation (§3.3) is that cycle processing
 is embarrassingly parallel *across trees* — Alg. 2 samples 1000
 independent BFS trees.  In pure NumPy the analog of launching one GPU
-grid per tree is stacking B trees into ``(B, n)`` arrays and advancing
-all of their frontiers inside the same vectorized operations, so the
-per-level interpreter overhead is paid once per *batch* instead of once
-per tree.
+grid per tree is stacking B trees into ``(B, n)`` arrays so the batched
+parity kernel (:mod:`repro.core.parity_batch`) processes all of them in
+the same vectorized operations.
 
-:func:`sample_bfs_batch` is bit-identical, tree index by tree index, to
-:meth:`repro.trees.sampler.TreeSampler.tree` with the same seed: tree
-``i`` draws from the ``i``-th spawned child stream, its root draw and
-per-level tie-break draws happen in exactly the sequential order, and
-the batched frontier keeps each tree's offers in the sequential
-frontier order.  The equivalence is what lets the batched cloud engine
+Each tree is drawn by the levels-first kernel
+:func:`repro.trees.bfs.bfs_parents`, whose per-tree cost is a C BFS and
+a few passes over the arcs with no per-level interpreter loop, so
+:func:`sample_bfs_batch` simply runs it once per tree index.  Tree
+``i`` draws from the ``i``-th spawned child stream, which makes the
+batch bit-identical, tree index by tree index, to
+:meth:`repro.trees.sampler.TreeSampler.tree` with the same seed — the
+equivalence that lets the batched cloud engine
 (:func:`repro.cloud.cloud.sample_cloud` with ``batch_size > 1``)
 reproduce the sequential cloud attribute-for-attribute.
 """
@@ -26,11 +27,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import DisconnectedGraphError, EngineError
+from repro.errors import EngineError
 from repro.graph.csr import SignedGraph
 from repro.perf.compat import Counters
+from repro.trees.bfs import bfs_parents
 from repro.trees.tree import SpanningTree
-from repro.util.arrays import concat_ranges
 
 __all__ = ["TreeBatch", "sample_bfs_batch", "spawn_batch"]
 
@@ -135,14 +136,12 @@ def sample_bfs_batch(
     root: int | None = None,
     counters: Counters | None = None,
 ) -> TreeBatch:
-    """Sample the randomized BFS trees for the given indices in one
-    batched level-synchronous expansion.
+    """Sample the randomized BFS trees for the given indices.
 
     Tree-by-tree the output is bit-identical to
-    ``bfs_tree(graph, root=root, seed=spawn(seed, i))`` — same root
-    draws, same parent tie-breaks — because every tree keeps its own
-    child RNG stream and its offers stay in the sequential frontier
-    order inside the stacked arrays.
+    ``bfs_tree(graph, root=root, seed=spawn(seed, i))`` because both run
+    the levels-first kernel :func:`repro.trees.bfs.bfs_parents` on the
+    same child stream; the batch only stacks the rows.
     """
     n = graph.num_vertices
     rngs = spawn_batch(seed, indices)
@@ -150,108 +149,15 @@ def sample_bfs_batch(
     if num_trees == 0:
         raise EngineError("need at least one tree index")
 
-    if root is None:
-        roots = np.asarray(
-            [int(rng.integers(0, n)) for rng in rngs], dtype=np.int64
-        )
-    else:
-        roots = np.full(num_trees, int(root), dtype=np.int64)
-
-    size = num_trees * n
-    parent = np.full(size, -1, dtype=np.int64)
-    parent_edge = np.full(size, -1, dtype=np.int64)
-    level = np.full(size, -1, dtype=np.int64)
-    discovered = np.zeros(size, dtype=bool)
-
-    # Flattened tree-vertex ids g = b * n + v.  The frontier stays
-    # sorted ascending, i.e. grouped by tree with each tree's vertices
-    # in the same (ascending) order the sequential BFS produces.
-    offsets = np.arange(num_trees, dtype=np.int64) * n
-    frontier = offsets + roots
-    discovered[frontier] = True
-    level[frontier] = 0
-    reached = np.ones(num_trees, dtype=np.int64)
-    depth = 0
-
-    degs = graph.degrees
-    # Winner-selection scratch, sized B·n but allocated once per call
-    # and only ever written at offered slots before being read — no
-    # per-level (B, n) scratch is materialized.
-    best_key = np.empty(size, dtype=np.float64)
-    best_offer = np.empty(size, dtype=np.int64)
-
-    while len(frontier):
-        depth += 1
-        tree_of, verts = np.divmod(frontier, n)
-
-        starts = graph.indptr[verts]
-        counts = degs[verts]
-        pos = np.repeat(starts, counts) + concat_ranges(counts)
-        if len(pos) == 0:
-            break
-        src_tree = np.repeat(tree_of, counts)
-
-        g_target = src_tree * n + graph.adj_vertex[pos]
-        fresh = ~discovered[g_target]
-        g_target = g_target[fresh]
-        src_tree = src_tree[fresh]
-        pos = pos[fresh]
-        if len(g_target) == 0:
-            break
-
-        # Per-tree tie-break keys, drawn from each tree's own stream in
-        # one call per (tree, level) — exactly the sequential draw.
-        offers_per_tree = np.bincount(src_tree, minlength=num_trees)
-        keys = np.empty(len(g_target), dtype=np.float64)
-        cursor = 0
-        for t in np.nonzero(offers_per_tree)[0]:
-            k = int(offers_per_tree[t])
-            keys[cursor : cursor + k] = rngs[t].random(k)
-            cursor += k
-
-        # Uniform winner per (tree, target) without sorting the offers:
-        # repeated last-write-wins scatters converge on the minimum key
-        # per target (each round keeps only the offers still strictly
-        # below the stored champion, halving the field in expectation),
-        # then a reversed scatter of the minimum-key offers breaks ties
-        # toward the earliest offer — the same winner the sequential
-        # lexsort picks.
-        best_key[g_target] = keys
-        alive = np.nonzero(keys < best_key[g_target])[0]
-        while len(alive):
-            best_key[g_target[alive]] = keys[alive]
-            alive = alive[keys[alive] < best_key[g_target[alive]]]
-        cand = np.nonzero(keys == best_key[g_target])[0]
-        rev = cand[::-1]
-        best_offer[g_target[rev]] = rev
-        win = cand[best_offer[g_target[cand]] == cand]
-        # Keep the new frontier ascending (the sequential offer order of
-        # the next level); this sorts only the winners, far fewer than
-        # the offers the old full argsort covered.
-        win = win[np.argsort(g_target[win], kind="stable")]
-
-        new_g = g_target[win]
-        pos_w = pos[win]
-        # Recover the winning offers' source vertices from their CSR
-        # positions (cheap: only |new frontier| searchsorted lookups).
-        parent[new_g] = np.searchsorted(graph.indptr, pos_w, side="right") - 1
-        parent_edge[new_g] = graph.adj_edge[pos_w]
-        discovered[new_g] = True
-        level[new_g] = depth
-        reached += np.bincount(src_tree[win], minlength=num_trees)
-        frontier = new_g
-        if counters is not None:
-            counters.parallel_region("batch.bfs_round", len(new_g))
-
-    if np.any(reached != n):
-        b = int(np.nonzero(reached != n)[0][0])
-        raise DisconnectedGraphError(
-            f"BFS from root {int(roots[b])} reached {int(reached[b])} of "
-            f"{n} vertices; extract the largest connected component first"
-        )
-    return TreeBatch(
-        roots=roots,
-        parent=parent.reshape(num_trees, n),
-        parent_edge=parent_edge.reshape(num_trees, n),
-        level_of=level.reshape(num_trees, n),
-    )
+    roots = np.empty(num_trees, dtype=np.int64)
+    parent = np.empty((num_trees, n), dtype=np.int64)
+    parent_edge = np.empty((num_trees, n), dtype=np.int64)
+    level = np.empty((num_trees, n), dtype=np.int64)
+    for b, rng in enumerate(rngs):
+        roots[b], parent[b], parent_edge[b], level[b] = bfs_parents(graph, rng, root)
+    if counters is not None:
+        # One region per BFS round, sized by the vertices the round
+        # discovers across the batch.
+        for discovered in np.bincount(level.ravel())[1:]:
+            counters.parallel_region("batch.bfs_round", int(discovered))
+    return TreeBatch(roots=roots, parent=parent, parent_edge=parent_edge, level_of=level)

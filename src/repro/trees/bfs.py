@@ -8,22 +8,122 @@ sources, matching the "1000 BFS trees" methodology:
 * when several frontier vertices could adopt the same undiscovered
   vertex, the winning parent is drawn uniformly among the offers.
 
-The expansion is level-synchronous and fully vectorized — the same
-structure as the parallel BFS in the paper's codes — so sampling stays
-fast on multi-hundred-thousand-edge graphs in pure Python.
+Every BFS sampler in the package (:func:`bfs_tree`, the batched
+:func:`repro.trees.batched.sample_bfs_batch` and the degree-aware
+variant) runs the one *levels-first* kernel :func:`bfs_parents`.  The
+levels are a deterministic function of the root, so scipy's C BFS
+computes them; only the parent draw is random, and it is one
+vectorized pass over the arcs that join consecutive levels.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Tuple
 
-from repro.errors import DisconnectedGraphError
+import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
+
+from repro.errors import DisconnectedGraphError, EngineError
 from repro.graph.csr import SignedGraph
 from repro.rng import SeedLike, as_generator
 from repro.trees.tree import SpanningTree
-from repro.util.arrays import gather_adjacency
 
-__all__ = ["bfs_tree"]
+__all__ = ["bfs_tree", "bfs_parents"]
+
+
+def _bfs_levels(graph: SignedGraph, root: int) -> np.ndarray:
+    """BFS depth of every vertex from *root* (int64).
+
+    Raises :class:`DisconnectedGraphError` if some vertex is not
+    reachable from the root.
+    """
+    n = graph.num_vertices
+    order, pred = breadth_first_order(
+        graph.bfs_csgraph, root, directed=True, return_predecessors=True
+    )
+    if len(order) != n:
+        raise DisconnectedGraphError(
+            f"BFS from root {root} reached {len(order)} of {n} vertices; "
+            "extract the largest connected component first"
+        )
+    # A FIFO BFS enqueues children in the order it dequeues parents, so
+    # the queue position of each vertex's predecessor never decreases
+    # along ``order``: level d + 1 ends right after the last vertex
+    # whose predecessor lies in levels 0..d.  O(depth) binary searches.
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    pred_pos = pos[pred[order[1:]]]
+    ends = [1]
+    while ends[-1] < n:
+        ends.append(1 + int(np.searchsorted(pred_pos, ends[-1])))
+    level = np.empty(n, dtype=np.int64)
+    level[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return level
+
+
+def bfs_parents(
+    graph: SignedGraph,
+    rng: np.random.Generator,
+    root: int | None = None,
+    priority: np.ndarray | None = None,
+) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The levels-first kernel: one randomized BFS tree as
+    ``(root, parent, parent_edge, level)``, int64 arrays with
+    ``parent`` and ``parent_edge`` −1 at the root.
+
+    Draws the root from *rng* unless pinned, computes the levels, and
+    takes the *offers* — the arcs ``u → v`` with
+    ``level[v] == level[u] + 1``.  Each offer gets one uniform key from a
+    single ``rng.random(K)`` call, assigned in (``level[u]``, CSR
+    position) order; each vertex adopts the offer with the smallest key,
+    ties going to the earliest offer.  With *priority* (one integer per
+    vertex) only the offers whose source has the smallest priority
+    compete.
+
+    That is exactly the draw sequence of a level-synchronous frontier
+    loop that calls ``rng.random`` once per level with the level's
+    offers in frontier-then-CSR order: a float64 draw consumes one
+    uint64, so ``random(k1)`` then ``random(k2)`` equals
+    ``random(k1 + k2)``.
+    """
+    n = graph.num_vertices
+    if root is None:
+        root = int(rng.integers(0, n))
+    elif not 0 <= root < n:
+        # scipy's C BFS does not bound-check the start vertex.
+        raise EngineError(f"root {root} is not a vertex of a {n}-vertex graph")
+    level = _bfs_levels(graph, root)
+
+    source = graph.arc_source
+    source_level = level[source]
+    offer = np.flatnonzero(level[graph.adj_vertex] == source_level + 1)
+    target = graph.adj_vertex[offer]
+    keys = np.empty(len(offer), dtype=np.float64)
+    # Stable by level keeps CSR order within a level; the narrowest
+    # dtype that holds the depth lets numpy radix-sort it.
+    draw_order = np.argsort(
+        source_level[offer].astype(np.min_scalar_type(level.max())), kind="stable"
+    )
+    keys[draw_order] = rng.random(len(offer))
+
+    if priority is not None:
+        offer_priority = priority[source[offer]]
+        best = np.full(n, np.iinfo(offer_priority.dtype).max, dtype=offer_priority.dtype)
+        np.minimum.at(best, target, offer_priority)
+        keys[offer_priority != best[target]] = np.inf
+    best_key = np.full(n, np.inf)
+    np.minimum.at(best_key, target, keys)
+    win = np.flatnonzero(keys == best_key[target])
+    if len(win) > n - 1:
+        # An exact key tie: all offers to a vertex share one level, so
+        # the earliest offer in the array is the earliest drawn.
+        win = win[np.unique(target[win], return_index=True)[1]]
+
+    parent = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    parent[target[win]] = source[offer[win]]
+    parent_edge[target[win]] = graph.adj_edge[offer[win]]
+    return root, parent, parent_edge, level
 
 
 def bfs_tree(
@@ -36,49 +136,5 @@ def bfs_tree(
     Raises :class:`DisconnectedGraphError` if some vertex is not
     reachable from the root.
     """
-    n = graph.num_vertices
-    rng = as_generator(seed)
-    if root is None:
-        root = int(rng.integers(0, n))
-
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    discovered = np.zeros(n, dtype=bool)
-    discovered[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    reached = 1
-
-    while len(frontier):
-        half, sources = gather_adjacency(graph.indptr, frontier)
-        if len(half) == 0:
-            break
-        targets = graph.adj_vertex[half]
-        edges = graph.adj_edge[half]
-
-        fresh = ~discovered[targets]
-        targets, sources, edges = targets[fresh], sources[fresh], edges[fresh]
-        if len(targets) == 0:
-            break
-
-        # Uniform random winner per target: sort offers by
-        # (target, random key) and keep the first offer of each run.
-        keys = rng.random(len(targets))
-        order = np.lexsort((keys, targets))
-        targets, sources, edges = targets[order], sources[order], edges[order]
-        first = np.empty(len(targets), dtype=bool)
-        first[0] = True
-        first[1:] = targets[1:] != targets[:-1]
-
-        new_v = targets[first]
-        parent[new_v] = sources[first]
-        parent_edge[new_v] = edges[first]
-        discovered[new_v] = True
-        reached += len(new_v)
-        frontier = new_v
-
-    if reached != n:
-        raise DisconnectedGraphError(
-            f"BFS from root {root} reached {reached} of {n} vertices; "
-            "extract the largest connected component first"
-        )
+    root, parent, parent_edge, _ = bfs_parents(graph, as_generator(seed), root)
     return SpanningTree.from_parents(graph, root, parent, parent_edge)

@@ -6,10 +6,11 @@ very high-degree vertices (~150 average on-cycle degree), making
 notes the observation "may prove useful to further enhance the
 performance of graphB+".
 
-This sampler acts on that hint: it is a level-synchronous BFS like
-:func:`repro.trees.bfs.bfs_tree`, but when several frontier vertices
-offer to adopt the same undiscovered vertex, the **lowest-degree**
-offerer wins (ties broken randomly) instead of a uniformly random one.
+This sampler acts on that hint: it is a BFS like
+:func:`repro.trees.bfs.bfs_tree` (the same levels-first kernel), but
+when several frontier vertices offer to adopt the same undiscovered
+vertex, the **lowest-degree** offerer wins (ties broken randomly)
+instead of a uniformly random one.
 Hubs therefore adopt fewer children, so cycle walks descend through
 smaller child lists.  Tree depth is unchanged (still a BFS — levels are
 graph distances), so cycle lengths stay minimal; only the scan cost per
@@ -22,13 +23,11 @@ useful for bounding the effect).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import DisconnectedGraphError, EngineError
+from repro.errors import EngineError
 from repro.graph.csr import SignedGraph
 from repro.rng import SeedLike, as_generator
+from repro.trees.bfs import bfs_parents
 from repro.trees.tree import SpanningTree
-from repro.util.arrays import gather_adjacency
 
 __all__ = ["degree_aware_bfs_tree"]
 
@@ -39,53 +38,13 @@ def degree_aware_bfs_tree(
     seed: SeedLike = None,
     prefer: str = "low",
 ) -> SpanningTree:
-    """BFS tree whose parent choices prefer low- (or high-)degree offers."""
+    """BFS tree whose parent choices prefer low- (or high-)degree offers:
+    each vertex adopts the offer with the smallest (degree rank, random
+    key), the earliest offer winning exact ties."""
     if prefer not in ("low", "high"):
         raise EngineError(f"prefer must be 'low' or 'high', got {prefer!r}")
-    n = graph.num_vertices
-    rng = as_generator(seed)
-    if root is None:
-        root = int(rng.integers(0, n))
-
-    degree = np.diff(graph.indptr)
-    rank = degree if prefer == "low" else -degree
-
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    discovered = np.zeros(n, dtype=bool)
-    discovered[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    reached = 1
-
-    while len(frontier):
-        half, sources = gather_adjacency(graph.indptr, frontier)
-        if len(half) == 0:
-            break
-        targets = graph.adj_vertex[half]
-        edges = graph.adj_edge[half]
-
-        fresh = ~discovered[targets]
-        targets, sources, edges = targets[fresh], sources[fresh], edges[fresh]
-        if len(targets) == 0:
-            break
-
-        # Winner per target: minimal (rank, random key) offer.
-        keys = rng.random(len(targets))
-        order = np.lexsort((keys, rank[sources], targets))
-        targets, sources, edges = targets[order], sources[order], edges[order]
-        first = np.empty(len(targets), dtype=bool)
-        first[0] = True
-        first[1:] = targets[1:] != targets[:-1]
-
-        new_v = targets[first]
-        parent[new_v] = sources[first]
-        parent_edge[new_v] = edges[first]
-        discovered[new_v] = True
-        reached += len(new_v)
-        frontier = new_v
-
-    if reached != n:
-        raise DisconnectedGraphError(
-            f"BFS from root {root} reached {reached} of {n} vertices"
-        )
+    rank = graph.degrees if prefer == "low" else -graph.degrees
+    root, parent, parent_edge, _ = bfs_parents(
+        graph, as_generator(seed), root, priority=rank
+    )
     return SpanningTree.from_parents(graph, root, parent, parent_edge)

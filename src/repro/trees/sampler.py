@@ -133,9 +133,9 @@ class TreeSampler:
         when an int) as a stacked :class:`~repro.trees.batched.TreeBatch`.
 
         Tree ``i`` of the batch is bit-identical to ``self.tree(i)``.
-        The BFS method runs the batched level-synchronous sampler (one
-        set of vectorized kernels for the whole batch); other methods
-        fall back to stacking individually sampled trees.
+        The BFS method writes the levels-first kernel's rows straight
+        into the stacked arrays (:func:`~repro.trees.batched.sample_bfs_batch`);
+        other methods fall back to stacking individually sampled trees.
         """
         from repro.trees.batched import TreeBatch, sample_bfs_batch
 

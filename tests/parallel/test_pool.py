@@ -25,8 +25,8 @@ class TestMerge:
             (a if i % 2 == 0 else b).add_result(r)
             full.add_result(r)
         a.merge(b)
-        np.testing.assert_allclose(a.status(), full.status())
-        np.testing.assert_allclose(a.edge_agreement(), full.edge_agreement())
+        np.testing.assert_array_equal(a.status(), full.status())
+        np.testing.assert_array_equal(a.edge_agreement(), full.edge_agreement())
         assert a.num_unique_states == full.num_unique_states
         assert sorted(a.flip_counts()) == sorted(full.flip_counts())
 
@@ -51,15 +51,15 @@ class TestPool:
         g = make_connected_signed(40, 100, seed=1)
         seq = sample_cloud(g, 9, seed=5)
         pool = sample_cloud_pool(g, 9, workers=1, seed=5)
-        np.testing.assert_allclose(seq.status(), pool.status())
+        np.testing.assert_array_equal(seq.status(), pool.status())
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_matches_sequential(self, workers):
         g = make_connected_signed(40, 100, seed=1)
         seq = sample_cloud(g, 10, seed=5)
         pool = sample_cloud_pool(g, 10, workers=workers, seed=5)
-        np.testing.assert_allclose(seq.status(), pool.status())
-        np.testing.assert_allclose(seq.influence(), pool.influence())
+        np.testing.assert_array_equal(seq.status(), pool.status())
+        np.testing.assert_array_equal(seq.influence(), pool.influence())
         assert pool.num_states == 10
 
     def test_more_workers_than_states(self):
@@ -84,7 +84,7 @@ class TestPool:
         assert meta.done_blocks is None  # completed run is a full prefix
         resumed = resume_cloud(cloud, 15)
         seq = sample_cloud(g, 15, seed=5)
-        np.testing.assert_allclose(seq.status(), resumed.status())
+        np.testing.assert_array_equal(seq.status(), resumed.status())
         assert sorted(resumed.flip_counts()) == sorted(seq.flip_counts())
 
 
@@ -140,9 +140,9 @@ class TestSalvage:
         # Resume reruns only the missing block and matches sequential.
         finished = sample_cloud_pool(g, 12, workers=3, seed=9, resume_from=ckpt)
         seq = sample_cloud(g, 12, seed=9)
-        np.testing.assert_allclose(seq.status(), finished.status())
-        np.testing.assert_allclose(seq.influence(), finished.influence())
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(seq.status(), finished.status())
+        np.testing.assert_array_equal(seq.influence(), finished.influence())
+        np.testing.assert_array_equal(
             seq.edge_agreement(), finished.edge_agreement()
         )
         assert finished.num_states == 12
@@ -197,7 +197,7 @@ class TestSalvage:
                 g, 9, workers=3, seed=9, resume_from=ckpt
             )
             seq = sample_cloud(g, 9, seed=9)
-            np.testing.assert_allclose(seq.status(), finished.status())
+            np.testing.assert_array_equal(seq.status(), finished.status())
 
     def test_batched_salvage_round_trip(self, tmp_path):
         g = make_connected_signed(30, 60, seed=3)
@@ -211,7 +211,7 @@ class TestSalvage:
             g, 12, workers=3, seed=9, batch_size=2, resume_from=ckpt
         )
         seq = sample_cloud(g, 12, seed=9)
-        np.testing.assert_allclose(seq.status(), finished.status())
+        np.testing.assert_array_equal(seq.status(), finished.status())
         assert sorted(finished.flip_counts()) == sorted(seq.flip_counts())
 
 
@@ -260,7 +260,7 @@ class TestSequentialSalvage:
         finished = sample_cloud_pool(g, 12, workers=1, seed=9,
                                      resume_from=ckpt)
         seq = sample_cloud(g, 12, seed=9)
-        np.testing.assert_allclose(seq.status(), finished.status())
+        np.testing.assert_array_equal(seq.status(), finished.status())
         assert finished.num_states == 12
 
     def test_in_process_crash_without_checkpoint_still_raises(self):
@@ -288,7 +288,7 @@ class TestInterruptSalvage:
         finished = sample_cloud_pool(g, 12, workers=3, seed=9,
                                      resume_from=ckpt)
         seq = sample_cloud(g, 12, seed=9)
-        np.testing.assert_allclose(seq.status(), finished.status())
+        np.testing.assert_array_equal(seq.status(), finished.status())
         assert finished.num_states == 12
 
     def test_in_process_interrupt_salvages_and_reraises(self, tmp_path):

@@ -56,13 +56,9 @@ def sequential(graph):
 
 
 def assert_same_cloud(expected, got):
-    # status() and flip counts are exact; the float accumulators are
-    # merged per block, so their summation association (not their
-    # values) differs from the sequential left fold — same tolerance
-    # the existing pool tests use.
     np.testing.assert_array_equal(expected.status(), got.status())
-    np.testing.assert_allclose(expected.influence(), got.influence())
-    np.testing.assert_allclose(
+    np.testing.assert_array_equal(expected.influence(), got.influence())
+    np.testing.assert_array_equal(
         expected.edge_agreement(), got.edge_agreement()
     )
     assert got.num_states == expected.num_states

@@ -70,8 +70,8 @@ class TestBatchedBfs:
         "n,m,batch", [(12, 18, 3), (60, 150, 8), (60, 150, 32), (150, 600, 16)]
     )
     def test_bit_identical_across_shapes(self, n, m, batch):
-        """The buffer-reuse winner selection stays bit-identical across
-        batch sizes and graph shapes (B above, at, and below n)."""
+        """The batch stays bit-identical across batch sizes and graph
+        shapes (B above, at, and below n)."""
         g = make_connected_signed(n, m, seed=n + batch)
         sampler = TreeSampler(g, seed=31)
         trees = sampler.batch(batch)
@@ -115,6 +115,12 @@ class TestBatchedBfs:
         g = from_edges([(0, 1, 1), (2, 3, -1)])
         with pytest.raises(DisconnectedGraphError):
             sample_bfs_batch(g, 0, [0, 1])
+
+    @pytest.mark.parametrize("root", [-1, 10])
+    def test_out_of_range_root_raises(self, root):
+        g = make_connected_signed(10, 10, seed=0)
+        with pytest.raises(EngineError, match="not a vertex"):
+            sample_bfs_batch(g, 0, [0], root=root)
 
     def test_empty_batch_raises(self):
         g = make_connected_signed(10, 10, seed=0)
