@@ -1,10 +1,12 @@
-"""Connected-component labeling and largest-component extraction.
+"""Connected-component labeling, BFS levels and largest-component
+extraction.
 
 The paper processes only the largest connected component of each input
-(Table 1 reports component sizes, not whole-input sizes).  The labeling
-here is a vectorized frontier BFS over the CSR arrays — the same
-level-synchronous pattern the parallel codes use — so it stays fast in
-pure Python even for multi-million-edge graphs.
+(Table 1 reports component sizes, not whole-input sizes).  Both graph
+traversals here run in scipy's C ``csgraph`` kernels over the cached
+:attr:`SignedGraph.bfs_csgraph`; :func:`bfs_levels` is the one BFS-level
+routine behind the tree sampler, the Harary 2-coloring and the diameter
+estimates.
 """
 
 from __future__ import annotations
@@ -12,12 +14,15 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import connected_components as _cc_labels
 
+from repro.errors import EngineError
 from repro.graph.build import csr_from_undirected
 from repro.graph.csr import SignedGraph
-from repro.util.arrays import gather_adjacency
 
 __all__ = [
+    "bfs_levels",
     "connected_components",
     "num_connected_components",
     "largest_connected_component",
@@ -25,36 +30,43 @@ __all__ = [
 ]
 
 
+def bfs_levels(csgraph, root: int) -> np.ndarray:
+    """BFS depth of every vertex of a scipy CSR adjacency from *root*
+    (int64, −1 where unreachable).
+
+    scipy's C BFS returns the visit order and predecessors; the levels
+    are recovered from them in O(depth) vectorized steps.
+    """
+    n = csgraph.shape[0]
+    if not 0 <= root < n:
+        # scipy's C BFS does not bound-check the start vertex.
+        raise EngineError(f"root {root} is not a vertex of a {n}-vertex graph")
+    order, pred = breadth_first_order(
+        csgraph, root, directed=True, return_predecessors=True
+    )
+    # A FIFO BFS enqueues children in the order it dequeues parents, so
+    # the queue position of each vertex's predecessor never decreases
+    # along ``order``: level d + 1 ends right after the last vertex
+    # whose predecessor lies in levels 0..d.  O(depth) binary searches.
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    pred_pos = pos[pred[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(1 + int(np.searchsorted(pred_pos, ends[-1])))
+    level = np.full(n, -1, dtype=np.int64)
+    level[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return level
+
+
 def connected_components(graph: SignedGraph) -> np.ndarray:
     """Label each vertex with its component id (0-based, dense).
 
     Component ids are assigned in order of the smallest vertex they
-    contain, so the labeling is deterministic.
+    contain, so the labeling is deterministic: scipy's undirected
+    labeling seeds a traversal at every unlabeled vertex in id order.
     """
-    n = graph.num_vertices
-    label = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    # Outer loop over seed vertices; inner loop is a vectorized
-    # frontier expansion, so total cost is O(n + m) with tiny constants.
-    for seed in range(n):
-        if label[seed] != -1:
-            continue
-        label[seed] = comp
-        frontier = np.array([seed], dtype=np.int64)
-        while len(frontier):
-            # Gather all neighbors of the frontier in one shot.
-            offsets, _ = gather_adjacency(graph.indptr, frontier)
-            if len(offsets) == 0:
-                break
-            nbrs = graph.adj_vertex[offsets]
-            fresh = nbrs[label[nbrs] == -1]
-            if len(fresh) == 0:
-                break
-            fresh = np.unique(fresh)
-            label[fresh] = comp
-            frontier = fresh
-        comp += 1
-    return label
+    return _cc_labels(graph.bfs_csgraph, directed=False)[1].astype(np.int64)
 
 
 def num_connected_components(graph: SignedGraph) -> int:

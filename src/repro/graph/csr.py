@@ -24,13 +24,40 @@ from functools import cached_property
 from typing import Iterator, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.errors import GraphFormatError
 
-__all__ = ["SignedGraph", "POSITIVE", "NEGATIVE"]
+__all__ = ["SignedGraph", "SymmetricCSR", "symmetric_csgraph", "POSITIVE", "NEGATIVE"]
 
 POSITIVE: int = 1
 NEGATIVE: int = -1
+
+
+class SymmetricCSR(csr_matrix):
+    """A scipy CSR adjacency that stores both half-edges of every edge,
+    so the matrix is its own transpose.
+
+    scipy's undirected ``connected_components`` transposes its input,
+    an O(m) copy that costs more than the labeling itself; returning
+    ``self`` from :meth:`transpose` skips it.
+    """
+
+    def transpose(self, axes=None, copy=False):
+        """The matrix itself (a copy if *copy*): it is symmetric."""
+        return self.copy() if copy else self
+
+
+def symmetric_csgraph(indices: np.ndarray, indptr: np.ndarray) -> SymmetricCSR:
+    """A :class:`SymmetricCSR` over ``len(indptr) - 1`` vertices in the
+    dtypes scipy's graph traversals use natively (float64 data, int32
+    indices), so ``scipy.sparse.csgraph`` neither copies nor converts
+    it per call.  The caller guarantees the symmetry."""
+    n = len(indptr) - 1
+    return SymmetricCSR(
+        (np.ones(len(indices)), indices.astype(np.int32), indptr.astype(np.int32)),
+        shape=(n, n),
+    )
 
 
 @dataclass(frozen=True)
@@ -88,22 +115,10 @@ class SignedGraph:
         return src
 
     @cached_property
-    def bfs_csgraph(self):
-        """The adjacency as a scipy CSR matrix in the dtypes scipy's
-        graph traversals use natively (float64 data, int32 indices), so
-        ``scipy.sparse.csgraph.breadth_first_order`` neither copies nor
-        converts it per call.  Built once per graph."""
-        from scipy.sparse import csr_matrix
-
-        n = self.num_vertices
-        return csr_matrix(
-            (
-                np.ones(len(self.adj_vertex)),
-                self.adj_vertex.astype(np.int32),
-                self.indptr.astype(np.int32),
-            ),
-            shape=(n, n),
-        )
+    def bfs_csgraph(self) -> SymmetricCSR:
+        """The adjacency as a :func:`symmetric_csgraph`, built once per
+        graph for scipy's C BFS and component labeling."""
+        return symmetric_csgraph(self.adj_vertex, self.indptr)
 
     def degree(self, v: int | None = None) -> np.ndarray | int:
         """Degree of vertex *v*, or the full degree array if ``v is None``."""

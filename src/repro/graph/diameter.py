@@ -16,37 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DisconnectedGraphError
+from repro.graph.components import bfs_levels
 from repro.graph.csr import SignedGraph
 from repro.rng import SeedLike, as_generator
-from repro.util.arrays import gather_adjacency
 
 __all__ = ["eccentricity", "double_sweep_diameter", "diameter_bounds"]
 
 
-def _bfs_levels(graph: SignedGraph, source: int) -> np.ndarray:
-    """Unweighted distances from *source* (−1 for unreachable)."""
-    n = graph.num_vertices
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while len(frontier):
-        pos, _src = gather_adjacency(graph.indptr, frontier)
-        if len(pos) == 0:
-            break
-        nbrs = graph.adj_vertex[pos]
-        fresh = np.unique(nbrs[dist[nbrs] < 0])
-        if len(fresh) == 0:
-            break
-        level += 1
-        dist[fresh] = level
-        frontier = fresh
-    return dist
-
-
 def eccentricity(graph: SignedGraph, vertex: int) -> int:
     """Largest BFS distance from *vertex* (graph must be connected)."""
-    dist = _bfs_levels(graph, vertex)
+    dist = bfs_levels(graph.bfs_csgraph, vertex)
     if np.any(dist < 0):
         raise DisconnectedGraphError(
             f"vertex {vertex} does not reach the whole graph"
@@ -68,11 +47,11 @@ def double_sweep_diameter(
         return 0
     rng = as_generator(seed)
     start = int(rng.integers(0, n))
-    d1 = _bfs_levels(graph, start)
+    d1 = bfs_levels(graph.bfs_csgraph, start)
     if np.any(d1 < 0):
         raise DisconnectedGraphError("graph is not connected")
     far = int(d1.argmax())
-    d2 = _bfs_levels(graph, far)
+    d2 = bfs_levels(graph.bfs_csgraph, far)
     return int(d2.max())
 
 
@@ -92,14 +71,14 @@ def diameter_bounds(
     upper = 2 * (n - 1)
     for _ in range(max(samples, 1)):
         start = int(rng.integers(0, n))
-        dist = _bfs_levels(graph, start)
+        dist = bfs_levels(graph.bfs_csgraph, start)
         if np.any(dist < 0):
             raise DisconnectedGraphError("graph is not connected")
         ecc = int(dist.max())
         lower = max(lower, ecc)
         upper = min(upper, 2 * ecc)
         # Sweep: also try the farthest vertex.
-        d2 = _bfs_levels(graph, int(dist.argmax()))
+        d2 = bfs_levels(graph.bfs_csgraph, int(dist.argmax()))
         ecc2 = int(d2.max())
         lower = max(lower, ecc2)
     return lower, max(lower, upper)

@@ -10,6 +10,10 @@ the *Harary bipartition*.  The paper computes it by
    collapsed graph with a BFS: even levels form one side, odd levels
    the other (Fig. 6(i)).
 
+Both traversals run in scipy's C ``csgraph`` kernels; the tests hold
+them bit for bit to a plain-Python DFS and component loop
+(``tests/references.py``).
+
 For a *balanced* input the collapsed graph is bipartite by
 construction; :func:`harary_bipartition` verifies this and raises
 :class:`NotBalancedError` otherwise, so it doubles as a balance check.
@@ -21,9 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.errors import NotBalancedError
-from repro.graph.csr import SignedGraph
+from repro.graph.components import bfs_levels
+from repro.graph.csr import SignedGraph, symmetric_csgraph
 from repro.perf.compat import Counters
 
 __all__ = [
@@ -96,46 +103,16 @@ def positive_components(
 ) -> np.ndarray:
     """Component labels of the subgraph keeping only positive edges.
 
-    Multi-source min-label propagation with pointer jumping: every
-    vertex starts as its own seed, each round pulls the smallest label
-    across its positive edges and then compresses label chains
-    (``label = label[label]``), so a fragmented state with thousands of
-    agreement islands converges in O(log n) vectorized rounds instead
-    of one Python pass per component.  Labels come out identical to a
-    seed-in-id-order BFS: consecutive, ordered by each component's
-    smallest vertex id.
+    Masks the cached :attr:`SignedGraph.bfs_csgraph` down to its
+    positive half-edges and labels it with scipy's C
+    ``connected_components``.  Labels are consecutive and ordered by
+    each component's smallest vertex id, like a seed-in-id-order BFS.
     """
-    n = graph.num_vertices
     signs = _check_signs(graph, signs)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    half_pos = signs[graph.adj_edge] > 0
-
-    # Positive half-edges in CSR order: per-source segments stay
-    # contiguous, so each round's per-vertex min is one reduceat.
-    dst = graph.adj_vertex[half_pos]
-    kept = np.concatenate([[0], np.cumsum(half_pos)])
-    counts = kept[graph.indptr[1:]] - kept[graph.indptr[:-1]]
-    has_pos = counts > 0
-    seg_starts = np.concatenate([[0], np.cumsum(counts)])[:-1][has_pos]
-    pos_vertices = np.nonzero(has_pos)[0]
-
-    label = np.arange(n, dtype=np.int64)
-    while True:
-        cand = label.copy()
-        if len(seg_starts):
-            cand[pos_vertices] = np.minimum(
-                cand[pos_vertices],
-                np.minimum.reduceat(label[dst], seg_starts),
-            )
-        cand = cand[cand]
-        if np.array_equal(cand, label):
-            break
-        label = cand
-    # Labels are component-minimum vertex ids; renumber consecutively
-    # (unique sorts by min id, matching the BFS seed order).
-    _, out = np.unique(label, return_inverse=True)
-    return out.astype(np.int64)
+    keep = signs[graph.adj_edge] > 0
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    positive = symmetric_csgraph(graph.bfs_csgraph.indices[keep], kept[graph.indptr])
+    return connected_components(positive, directed=False)[1].astype(np.int64)
 
 
 def sides_from_sign_to_root(s2r: np.ndarray) -> np.ndarray:
@@ -157,6 +134,37 @@ def sides_from_sign_to_root(s2r: np.ndarray) -> np.ndarray:
     s2r = np.asarray(s2r, dtype=np.int8)
     ref = s2r[..., :1]  # each state's vertex 0, broadcast over the row
     return (s2r != ref).astype(np.int8)
+
+
+def _two_color(cu: np.ndarray, cv: np.ndarray, num_comp: int) -> np.ndarray:
+    """BFS-level parity of the collapsed graph with edges ``(cu, cv)``
+    over *num_comp* super-vertices: even levels on side 0.
+
+    Each collapsed component is searched from its smallest
+    super-vertex.  One BFS covers them all: a virtual root (id
+    *num_comp*) points at every component's smallest member, so those
+    sit on level 1 and ``level - 1`` is the per-component BFS depth.
+    """
+    src = np.concatenate([cu, cv])
+    dst = np.concatenate([cv, cu])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=num_comp))])
+    # The narrowest dtype that holds the ids lets numpy radix-sort them.
+    order = np.argsort(src.astype(np.min_scalar_type(num_comp)), kind="stable")
+    indices = dst[order]
+    label = connected_components(
+        symmetric_csgraph(indices, indptr), directed=False
+    )[1]
+    seeds = np.unique(label, return_index=True)[1]
+    rooted = csr_matrix(
+        (
+            np.ones(len(indices) + len(seeds)),
+            np.concatenate([indices, seeds]).astype(np.int32),
+            np.append(indptr, indptr[-1] + len(seeds)).astype(np.int32),
+        ),
+        shape=(num_comp + 1, num_comp + 1),
+    )
+    level = bfs_levels(rooted, num_comp)[:num_comp]
+    return ((level - 1) & 1).astype(np.int8)
 
 
 def harary_bipartition(
@@ -201,30 +209,12 @@ def harary_bipartition(
             "component; the sign assignment is not balanced"
         )
 
-    # 2-color the collapsed graph with a BFS over super-vertices,
-    # implemented on (cu, cv) pairs via a simple adjacency dict — the
-    # collapsed graph is tiny compared to Σ.
-    side_of_comp = np.full(num_comp, -1, dtype=np.int8)
-    adj: list[list[int]] = [[] for _ in range(num_comp)]
-    for a, b in zip(cu.tolist(), cv.tolist()):
-        adj[a].append(b)
-        adj[b].append(a)
-    for seed in range(num_comp):
-        if side_of_comp[seed] != -1:
-            continue
-        side_of_comp[seed] = 0
-        queue = [seed]
-        while queue:
-            c = queue.pop()
-            for d in adj[c]:
-                if side_of_comp[d] == -1:
-                    side_of_comp[d] = 1 - side_of_comp[c]
-                    queue.append(d)
-                elif side_of_comp[d] == side_of_comp[c]:
-                    raise NotBalancedError(
-                        "collapsed negative-edge graph contains an odd "
-                        "cycle; the sign assignment is not balanced"
-                    )
+    side_of_comp = _two_color(cu, cv, num_comp)
+    if np.any(side_of_comp[cu] == side_of_comp[cv]):
+        raise NotBalancedError(
+            "collapsed negative-edge graph contains an odd "
+            "cycle; the sign assignment is not balanced"
+        )
     if counters is not None:
         counters.parallel_region("harary.two_coloring", num_comp)
 

@@ -21,44 +21,14 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order
 
-from repro.errors import DisconnectedGraphError, EngineError
+from repro.errors import DisconnectedGraphError
+from repro.graph.components import bfs_levels
 from repro.graph.csr import SignedGraph
 from repro.rng import SeedLike, as_generator
 from repro.trees.tree import SpanningTree
 
 __all__ = ["bfs_tree", "bfs_parents"]
-
-
-def _bfs_levels(graph: SignedGraph, root: int) -> np.ndarray:
-    """BFS depth of every vertex from *root* (int64).
-
-    Raises :class:`DisconnectedGraphError` if some vertex is not
-    reachable from the root.
-    """
-    n = graph.num_vertices
-    order, pred = breadth_first_order(
-        graph.bfs_csgraph, root, directed=True, return_predecessors=True
-    )
-    if len(order) != n:
-        raise DisconnectedGraphError(
-            f"BFS from root {root} reached {len(order)} of {n} vertices; "
-            "extract the largest connected component first"
-        )
-    # A FIFO BFS enqueues children in the order it dequeues parents, so
-    # the queue position of each vertex's predecessor never decreases
-    # along ``order``: level d + 1 ends right after the last vertex
-    # whose predecessor lies in levels 0..d.  O(depth) binary searches.
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    pred_pos = pos[pred[order[1:]]]
-    ends = [1]
-    while ends[-1] < n:
-        ends.append(1 + int(np.searchsorted(pred_pos, ends[-1])))
-    level = np.empty(n, dtype=np.int64)
-    level[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
-    return level
 
 
 def bfs_parents(
@@ -89,10 +59,13 @@ def bfs_parents(
     n = graph.num_vertices
     if root is None:
         root = int(rng.integers(0, n))
-    elif not 0 <= root < n:
-        # scipy's C BFS does not bound-check the start vertex.
-        raise EngineError(f"root {root} is not a vertex of a {n}-vertex graph")
-    level = _bfs_levels(graph, root)
+    level = bfs_levels(graph.bfs_csgraph, root)
+    reached = int(np.count_nonzero(level >= 0))
+    if reached != n:
+        raise DisconnectedGraphError(
+            f"BFS from root {root} reached {reached} of {n} vertices; "
+            "extract the largest connected component first"
+        )
 
     source = graph.arc_source
     source_level = level[source]
