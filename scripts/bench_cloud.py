@@ -1,12 +1,14 @@
 #!/usr/bin/env python
 """Benchmark the cloud engines: sequential, tree-batched, and swap-chain.
 
-Writes ``BENCH_cloud.json``: states/sec for the sequential driver
-(``batch_size=1``), the batched BFS engine, and the incremental
-swap-chain engine at several graph sizes and batch sizes — plus an
-exact seed-for-seed consensus-attribute identity check for the batched
-BFS rows (bit-identical by contract) and a frustration-bound tolerance
-check for the swap rows (statistically equivalent by contract).  This
+Writes ``BENCH_cloud.json``: states/sec for the ``batch_size=1``
+campaign (the ``sequential`` row), the batched BFS engine, and the
+incremental swap-chain engine at several graph sizes and batch sizes —
+plus an exact seed-for-seed consensus-attribute identity check of every
+BFS row against the per-tree oracle (``tests/references.py::
+per_tree_cloud``: one ``balance`` and one Harary bipartition per tree,
+no campaign code), and a frustration-bound tolerance check for the swap
+rows (statistically equivalent by contract).  This
 file tracks the perf trajectory for the cloud pipeline — re-run after
 optimizations and compare.
 
@@ -52,6 +54,18 @@ def build_graph(num_vertices: int, num_edges: int, seed: int):
 
     sub, _ = largest_connected_component(graph)
     return sub
+
+
+def per_tree_reference(graph, num_states: int, seed: int):
+    """The per-tree oracle cloud of the first *num_states* BFS trees,
+    from the repository's test references (the BFS rows must equal it
+    bit for bit)."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from tests.references import per_tree_cloud
+
+    return per_tree_cloud(graph, num_states, seed)
 
 
 def attributes_identical(a, b) -> bool:
@@ -327,11 +341,16 @@ def main(argv=None) -> int:
             print(f"graph n={graph.num_vertices} m={graph.num_edges} "
                   f"states={cfg['states']}", flush=True)
 
+            reference = per_tree_reference(graph, cfg["states"], args.seed)
             seq = bench_one(graph, cfg["states"], 1, args.seed, args.repeat)
             seq_cloud = seq.pop("_cloud")
+            seq["attributes_identical"] = attributes_identical(
+                reference, seq_cloud
+            )
             entry["sequential"] = seq
             print(f"  sequential          {seq['states_per_sec']:>9.2f} "
-                  "states/s", flush=True)
+                  f"states/s  (identical={seq['attributes_identical']})",
+                  flush=True)
             if args.phases:
                 _print_phases(seq)
 
@@ -356,7 +375,7 @@ def main(argv=None) -> int:
                     run["states_per_sec"] / seq["states_per_sec"], 2
                 )
                 run["attributes_identical"] = attributes_identical(
-                    seq_cloud, cloud
+                    reference, cloud
                 )
                 entry["batched"].append(run)
                 print(f"  bfs_store (mmap)    {run['states_per_sec']:>9.2f} "
@@ -381,7 +400,7 @@ def main(argv=None) -> int:
                     )
                     if method == "bfs":
                         run["attributes_identical"] = attributes_identical(
-                            seq_cloud, cloud
+                            reference, cloud
                         )
                         verdict = (
                             f"identical={run['attributes_identical']}"
@@ -416,7 +435,8 @@ def main(argv=None) -> int:
     report["best_speedup"] = best
     report["all_identical"] = all(
         run["attributes_identical"]
-        for entry in report["runs"] for run in entry["batched"]
+        for entry in report["runs"]
+        for run in (entry["sequential"], *entry["batched"])
         if run["method"] in ("bfs", "bfs_store")
     )
     if shard_section is not None:

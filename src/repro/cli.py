@@ -224,7 +224,7 @@ def _run_cloud_campaign(args, sub, policy):
     # Parameters left unset inherit from (and explicit ones are checked
     # against) a resumed checkpoint; a fresh campaign defaults to seed 0.
     campaign = dict(
-        method=args.method, batch_size=args.batch_size,
+        method=args.method, kernel=args.kernel, batch_size=args.batch_size,
         seed=args.seed if args.seed is not None or args.resume else 0,
         swaps_per_state=args.swaps_per_state,
         checkpoint_path=args.checkpoint,
@@ -816,6 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "--resume, inherited from the checkpoint's campaign)")
     p.add_argument("--tree-method", dest="method", choices=_tree_methods,
                    help="alias for --method")
+    p.add_argument("--kernel", choices=["walk", "lockstep", "parity"],
+                   help="balancing kernel; all give the same cloud (default "
+                        "lockstep; with --resume, inherited)")
     p.add_argument("--swaps-per-state", type=int, default=None, metavar="N",
                    help="edge swaps applied per state with --method swap "
                         "(default 1; more swaps decorrelate successive "
@@ -842,10 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "--shard-workers")
     p.add_argument("--batch-size", type=_batch_size_arg, default=None,
                    metavar="B",
-                   help="balance B spanning trees per kernel invocation "
-                        "(the tree-batched engine; default 1 = sequential; "
-                        "'auto' picks a cache-sized batch for the graph; "
-                        "with --resume, inherited from the checkpoint)")
+                   help="trees per kernel call, never changing the output "
+                        "(default 1, which --kernel walk needs; 'auto' is "
+                        "cache-sized; with --resume, inherited)")
     p.add_argument("--seed", type=int, default=None,
                    help="campaign seed (default 0; with --resume, inherited "
                         "from the checkpoint's campaign)")
@@ -1068,8 +1070,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="campaign seed (default: inherit, else 0)")
     p.add_argument("--batch-size", type=int, default=None,
-                   help="trees per batched kernel call (default: inherit, "
-                        "else 1)")
+                   help="trees per kernel call; never changes the "
+                        "cloud (default: inherit, else 1)")
     p.add_argument("--swaps-per-state", type=int, default=None,
                    help="edge swaps per state for --method swap")
     p.add_argument("--checkpoint", metavar="PATH",

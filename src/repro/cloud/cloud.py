@@ -35,18 +35,20 @@ __all__ = [
     "BATCHED_KERNELS",
 ]
 
-#: Kernels the tree-batched parity engine reproduces bit for bit; any
-#: other kernel must run with ``batch_size=1`` (a batch raises).
+#: Kernels whose campaigns run on the tree-batched sign-to-root engine
+#: at every batch size, 1 included (it reproduces them bit for bit).
+#: ``walk`` runs the per-tree loop and must use ``batch_size=1``.
 BATCHED_KERNELS = ("lockstep", "parity")
 
 
 def auto_batch_size(num_vertices: int) -> int:
     """A good default batch size for a graph of *num_vertices*.
 
-    B sizes only the batched parity kernel's ``(B, n)`` working set:
-    the tree sampler draws one tree at a time and keeps no per-batch
-    scratch.  States/sec climbs with B until that working set falls
-    out of cache (BENCH_cloud.json: 4000 vertices peak near B=32).
+    B sizes only the batched parity kernel's ``(B, n)`` working set;
+    it selects no engine and changes no bits (the tree sampler draws
+    one tree at a time).  States/sec climbs with B until that working
+    set falls out of cache (BENCH_cloud.json: 4000 vertices peak near
+    B=32).
     Targeting ``B * n ≈ 2**17`` keeps it near a megabyte, clamped to
     the power-of-two range [8, 64].
     """
@@ -160,9 +162,11 @@ class FrustrationCloud:
         The accumulator updates are single ``sum(axis=0)`` reductions
         over the batch, so the cloud after ``add_batch`` is exactly the
         cloud after B sequential :meth:`add_signs` calls in row order.
-        Raises :class:`~repro.errors.NotBalancedError` if any row's
-        signs are inconsistent with its sides (every positive edge must
-        stay inside a side, every negative edge must cross).
+        Raises :class:`~repro.errors.ReproError` for a misshapen batch
+        or a side label other than 0/1, and :class:`~repro.errors.
+        NotBalancedError` if any row's signs are inconsistent with its
+        sides (every positive edge must stay inside a side, every
+        negative edge must cross).
         """
         signs = np.asarray(signs, dtype=np.int8)
         if signs.ndim != 2 or signs.shape[1] != self.graph.num_edges:
@@ -174,13 +178,12 @@ class FrustrationCloud:
             for row in signs:
                 self.add_signs(row)
             return
-        sides = np.asarray(sides, dtype=np.int8)
-        num_new, n = sides.shape
-        if sides.shape != (len(signs), self.graph.num_vertices):
-            raise ReproError(
-                f"side batch has shape {sides.shape}, expected "
-                f"({len(signs)}, {self.graph.num_vertices})"
-            )
+        sides = np.asarray(sides)
+        num_new, n = len(signs), self.graph.num_vertices
+        if sides.shape != (num_new, n) or np.any((sides != 0) & (sides != 1)):
+            raise ReproError(f"side batch must be a ({num_new}, {n}) array of "
+                             f"0/1 labels, got shape {sides.shape}")
+        sides = sides.astype(np.int8, copy=False)
 
         coside = sides[:, self.graph.edge_u] == sides[:, self.graph.edge_v]
         if np.any((signs > 0) != coside):
@@ -334,10 +337,10 @@ def sample_cloud(
     """Alg. 2: sample ``num_states`` spanning trees, balance each, and
     accumulate the Harary bipartitions into a cloud, in-process.
 
-    The engine follows the spec.  ``batch_size > 1`` (or ``"auto"``,
-    see :func:`auto_batch_size`) runs the tree-batched BFS + parity
-    engine, identical to ``batch_size=1`` for the same seed; kernels
-    outside :data:`BATCHED_KERNELS` raise with a batch.
+    Kernels in :data:`BATCHED_KERNELS` run the tree-batched engine;
+    ``batch_size`` (or ``"auto"``, see :func:`auto_batch_size`) only
+    sizes its kernel calls, so every batch size gives the same cloud.
+    ``kernel="walk"`` balances tree by tree and raises with a batch.
     ``method="swap"`` runs the swap-chain engine
     (:mod:`repro.trees.swap_chain`), deterministic in the seed but only
     statistically equivalent to BFS clouds (see EXPERIMENTS.md).

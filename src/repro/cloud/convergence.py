@@ -22,11 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.cloud.cloud import FrustrationCloud
-from repro.core.balancer import balance
 from repro.errors import ReproError
 from repro.graph.csr import SignedGraph
-from repro.rng import SeedLike
-from repro.trees.sampler import TreeSampler
+from repro.rng import SeedLike, freeze_seed
 
 __all__ = [
     "StatusTrajectory",
@@ -54,6 +52,17 @@ class StatusTrajectory:
         return bool(self.max_step_change[-1] <= tolerance)
 
 
+def _blocks(graph: SignedGraph, method: str, seed: SeedLike, blocks) -> list:
+    """One block cloud per ``(start, stop, step)`` block of the campaign
+    *method*, *seed* (the engine and bits of ``sample_cloud``)."""
+    from repro.cloud.checkpoint import CampaignMeta
+    from repro.parallel.pool import run_block
+
+    spec = CampaignMeta.build(graph, method=method, seed=freeze_seed(seed),
+                              batch_size="auto")
+    return [run_block(graph, spec, block) for block in blocks]
+
+
 def status_trajectory(
     graph: SignedGraph,
     checkpoints: Sequence[int],
@@ -70,20 +79,15 @@ def status_trajectory(
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
         raise ReproError("checkpoints must be strictly increasing and >= 1")
 
-    sampler = TreeSampler(graph, method=method, seed=seed)
     cloud = FrustrationCloud(graph)
     estimates = []
-    done = 0
-    for cp in cps:
-        for i in range(done, cp):
-            cloud.add_result(balance(graph, sampler.tree(i)))
-        done = cp
+    segments = zip([0] + cps, cps, [1] * len(cps))
+    for segment in _blocks(graph, method, seed, segments):
+        cloud.merge(segment)
         estimates.append(cloud.status())
     est = np.stack(estimates)
-    changes = np.empty(len(cps))
-    changes[0] = np.inf
-    for k in range(1, len(cps)):
-        changes[k] = float(np.abs(est[k] - est[k - 1]).max())
+    steps = np.abs(np.diff(est, axis=0)).max(axis=1)
+    changes = np.concatenate([[np.inf], steps])
     return StatusTrajectory(
         checkpoints=np.asarray(cps, dtype=np.int64),
         estimates=est,
@@ -106,12 +110,9 @@ def split_half_agreement(
     """
     if num_states < 4:
         raise ReproError("need at least 4 states to split")
-    sampler = TreeSampler(graph, method=method, seed=seed)
-    even = FrustrationCloud(graph)
-    odd = FrustrationCloud(graph)
-    for i in range(num_states):
-        result = balance(graph, sampler.tree(i))
-        (even if i % 2 == 0 else odd).add_result(result)
+    even, odd = _blocks(
+        graph, method, seed, [(0, num_states, 2), (1, num_states, 2)]
+    )
     a, b = even.status(), odd.status()
     if np.allclose(a, a[0]) or np.allclose(b, b[0]):
         # Degenerate (e.g. already-balanced graph): identical constant

@@ -5,7 +5,7 @@ Alg. 2 is a set of independent tree indices whose balanced states are
 reduced by merging (§2.2, §3.3).  A campaign is a validated spec
 (:class:`~repro.cloud.checkpoint.CampaignMeta`), a plan of ``(start,
 stop, step)`` blocks, the executor :func:`run_block` (the only code that
-chooses between the swap, batched and per-tree engines), and the driver
+chooses an engine), and the driver
 (:mod:`repro.parallel.supervisor`).  :func:`run_campaign` plans, drives
 and merges; ``sample_cloud``, ``resume_cloud`` and
 :func:`sample_cloud_pool` are thin calls into it.  Pool workers get the
@@ -25,7 +25,7 @@ import numpy as np
 import repro.core.parity_batch as parity_batch
 import repro.harary.bipartition as bipartition
 from repro.cloud.checkpoint import CampaignMeta, CheckpointWriter, recover_cloud
-from repro.cloud.cloud import FrustrationCloud
+from repro.cloud.cloud import BATCHED_KERNELS, FrustrationCloud
 from repro.core.balancer import balance
 from repro.errors import CheckpointError, EngineError, SupervisorError
 from repro.graph.csr import SignedGraph
@@ -200,14 +200,15 @@ def run_block(
 def _balance_block(
     graph: SignedGraph, spec: CampaignMeta, indices: range
 ) -> FrustrationCloud:
-    """The engine choice: per-tree balancing, the tree-batched parity
-    engine, or the swap chain's delta states."""
+    """The engine, chosen by method and kernel alone: the swap chain, the
+    paper's per-tree walk, or the tree-batched sign-to-root engine that
+    every kernel in ``BATCHED_KERNELS`` runs at every batch size."""
     sampler = TreeSampler(
         graph, method=spec.method, seed=spec.seed,
         swaps_per_state=spec.swaps_per_state,
     )
     cloud = FrustrationCloud(graph, store_states=spec.store_states)
-    if spec.method != "swap" and spec.batch_size == 1:
+    if spec.method != "swap" and spec.kernel not in BATCHED_KERNELS:
         for i in indices:
             with span("tree_sample"):
                 tree = sampler.tree(i)

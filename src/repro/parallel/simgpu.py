@@ -79,7 +79,9 @@ class GpuMachine:
         )
 
     def _warp_tasks(self, w: Workload) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(task seconds, owning vertex, cycle count) per warp task."""
+        """(task seconds, owning vertex, cycle count) per warp task: a
+        vertex with k cycles runs ceil(k/32) lane batches, each costing
+        its mean cycle cost times the divergence factor."""
         owners, owner_costs = w.owner_costs
         counts = np.zeros(len(owners), dtype=np.float64)
         uniq, inverse = np.unique(w.cycle_owner, return_inverse=True)
@@ -90,19 +92,6 @@ class GpuMachine:
             batches * mean_cost * self.divergence_factor * self.lane_op_seconds
         )
         return tasks, owners, counts
-
-    def _warp_task_seconds(self, w: Workload) -> np.ndarray:
-        """Per-vertex warp task times for the cycle kernel.
-
-        A vertex with k cycles runs ceil(k/32) lane batches; each batch
-        costs its longest lane.  We model batch cost as the vertex's
-        mean cycle cost times a divergence factor — exact batch maxima
-        would require per-batch lane assignment, and the mean×factor
-        approximation keeps the hub-serialization effect while staying
-        O(#vertices).
-        """
-        tasks, _owners, _counts = self._warp_tasks(w)
-        return tasks
 
     def times(
         self, w: Workload, profile: Optional["MachineProfile"] = None

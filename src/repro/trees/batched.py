@@ -14,9 +14,9 @@ a few passes over the arcs with no per-level interpreter loop, so
 ``i`` draws from the ``i``-th spawned child stream, which makes the
 batch bit-identical, tree index by tree index, to
 :meth:`repro.trees.sampler.TreeSampler.tree` with the same seed — the
-equivalence that lets the batched cloud engine
-(:func:`repro.cloud.cloud.sample_cloud` with ``batch_size > 1``)
-reproduce the sequential cloud attribute-for-attribute.
+equivalence that lets the batched cloud engine, which every lockstep
+and parity campaign runs at any batch size (it only sizes a kernel
+call), reproduce the per-tree cloud attribute for attribute.
 """
 
 from __future__ import annotations

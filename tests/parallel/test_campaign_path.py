@@ -1,7 +1,8 @@
 """One campaign path: every entry point is a configuration of the same
 spec → block executor → driver, so every mode must produce the same
-cloud as ``sample_cloud``, bit for bit — ``influence()`` included — and
-must agree on what it rejects."""
+cloud as the per-tree oracle (``tests.references.per_tree_cloud``), bit
+for bit — ``influence()`` included — and must agree on what it
+rejects."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from repro.serve.state import SnapshotStore
 from repro.util.faults import WorkerCrash
 
 from tests.conftest import make_connected_signed
+from tests.references import per_tree_cloud
 
 STATES = 12
 FAST = dict(backoff_base=0.0, jitter=0.0)
@@ -37,6 +39,8 @@ ATTRIBUTES = (
 ENGINES = {
     "bfs-batch1": dict(method="bfs", batch_size=1),
     "bfs-batch4": dict(method="bfs", batch_size=4),
+    "bfs-batch100": dict(method="bfs", batch_size=100),
+    "dfs-batch8": dict(method="dfs", batch_size=8),
     "swap": dict(method="swap"),
 }
 
@@ -115,7 +119,7 @@ ROWS = {
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_every_mode_matches_sample_cloud(graph, tmp_path, row, engine):
-    expected = sample_cloud(graph, STATES, seed=7, **ENGINES[engine])
+    expected = per_tree_cloud(graph, STATES, 7, ENGINES[engine]["method"])
     got = ROWS[row](graph, ENGINES[engine], tmp_path)
     assert got.num_states == expected.num_states
     for name in ATTRIBUTES:
@@ -173,7 +177,7 @@ def test_invalid_inputs_raise_one_engine_error(graph, entry, case):
 def test_auto_batch_size_everywhere(graph, entry):
     result = ENTRY_POINTS[entry](graph, 6, batch_size="auto")
     cloud = result if isinstance(result, FrustrationCloud) else result[0][0][1]
-    expected = sample_cloud(graph, 6, seed=1)
+    expected = per_tree_cloud(graph, 6, 1)
     assert np.array_equal(cloud.status(), expected.status())
     assert np.array_equal(cloud.influence(), expected.influence())
 
@@ -213,7 +217,7 @@ def test_growth_worker_keeps_graph_store(graph, tmp_path):
     _cloud, meta, _src = recover_cloud(path, graph)
     assert meta.graph_store == str(store.path)
     assert np.array_equal(
-        worker.cloud.influence(), sample_cloud(graph, 8, seed=1).influence()
+        worker.cloud.influence(), per_tree_cloud(graph, 8, 1).influence()
     )
 
 

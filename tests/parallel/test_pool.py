@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cloud import FrustrationCloud, sample_cloud
+from repro.cloud import FrustrationCloud
 from repro.cloud.checkpoint import recover_cloud, resume_cloud
 from repro.core import balance
 from repro.errors import CheckpointError, EngineError, ReproError
@@ -12,6 +12,7 @@ from repro.parallel.pool import _remaining_blocks, sample_cloud_pool
 from repro.util.faults import WorkerCrash
 
 from tests.conftest import make_connected_signed
+from tests.references import per_tree_cloud
 
 
 class TestMerge:
@@ -49,17 +50,23 @@ class TestMerge:
 class TestPool:
     def test_single_worker_matches_sequential(self):
         g = make_connected_signed(40, 100, seed=1)
-        seq = sample_cloud(g, 9, seed=5)
+        seq = per_tree_cloud(g, 9, 5)
         pool = sample_cloud_pool(g, 9, workers=1, seed=5)
         np.testing.assert_array_equal(seq.status(), pool.status())
+        np.testing.assert_array_equal(seq.influence(), pool.influence())
+        np.testing.assert_array_equal(seq.flip_counts(), pool.flip_counts())
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_matches_sequential(self, workers):
         g = make_connected_signed(40, 100, seed=1)
-        seq = sample_cloud(g, 10, seed=5)
+        seq = per_tree_cloud(g, 10, 5)
         pool = sample_cloud_pool(g, 10, workers=workers, seed=5)
         np.testing.assert_array_equal(seq.status(), pool.status())
         np.testing.assert_array_equal(seq.influence(), pool.influence())
+        np.testing.assert_array_equal(
+            seq.edge_agreement(), pool.edge_agreement()
+        )
+        assert sorted(pool.flip_counts()) == sorted(seq.flip_counts())
         assert pool.num_states == 10
 
     def test_more_workers_than_states(self):
@@ -83,7 +90,7 @@ class TestPool:
         cloud, meta, _src = recover_cloud(ckpt, g)
         assert meta.done_blocks is None  # completed run is a full prefix
         resumed = resume_cloud(cloud, 15)
-        seq = sample_cloud(g, 15, seed=5)
+        seq = per_tree_cloud(g, 15, 5)
         np.testing.assert_array_equal(seq.status(), resumed.status())
         assert sorted(resumed.flip_counts()) == sorted(seq.flip_counts())
 
@@ -139,7 +146,7 @@ class TestSalvage:
         assert cloud.num_states == 8
         # Resume reruns only the missing block and matches sequential.
         finished = sample_cloud_pool(g, 12, workers=3, seed=9, resume_from=ckpt)
-        seq = sample_cloud(g, 12, seed=9)
+        seq = per_tree_cloud(g, 12, 9)
         np.testing.assert_array_equal(seq.status(), finished.status())
         np.testing.assert_array_equal(seq.influence(), finished.influence())
         np.testing.assert_array_equal(
@@ -196,7 +203,7 @@ class TestSalvage:
             finished = sample_cloud_pool(
                 g, 9, workers=3, seed=9, resume_from=ckpt
             )
-            seq = sample_cloud(g, 9, seed=9)
+            seq = per_tree_cloud(g, 9, 9)
             np.testing.assert_array_equal(seq.status(), finished.status())
 
     def test_batched_salvage_round_trip(self, tmp_path):
@@ -210,7 +217,7 @@ class TestSalvage:
         finished = sample_cloud_pool(
             g, 12, workers=3, seed=9, batch_size=2, resume_from=ckpt
         )
-        seq = sample_cloud(g, 12, seed=9)
+        seq = per_tree_cloud(g, 12, 9)
         np.testing.assert_array_equal(seq.status(), finished.status())
         assert sorted(finished.flip_counts()) == sorted(seq.flip_counts())
 
@@ -259,7 +266,7 @@ class TestSequentialSalvage:
 
         finished = sample_cloud_pool(g, 12, workers=1, seed=9,
                                      resume_from=ckpt)
-        seq = sample_cloud(g, 12, seed=9)
+        seq = per_tree_cloud(g, 12, 9)
         np.testing.assert_array_equal(seq.status(), finished.status())
         assert finished.num_states == 12
 
@@ -287,7 +294,7 @@ class TestInterruptSalvage:
 
         finished = sample_cloud_pool(g, 12, workers=3, seed=9,
                                      resume_from=ckpt)
-        seq = sample_cloud(g, 12, seed=9)
+        seq = per_tree_cloud(g, 12, 9)
         np.testing.assert_array_equal(seq.status(), finished.status())
         assert finished.num_states == 12
 

@@ -35,6 +35,7 @@ from repro.parallel.supervisor import RetryPolicy
 from repro.util.faults import WorkerCrash
 
 from tests.conftest import make_connected_signed
+from tests.references import per_tree_cloud
 
 FAST = dict(backoff_base=0.0, jitter=0.0)
 
@@ -52,7 +53,8 @@ def store(graph, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def sequential(graph):
-    return sample_cloud(graph, num_states=12, seed=7)
+    """The per-tree oracle every store-backed mode must reproduce."""
+    return per_tree_cloud(graph, 12, 7)
 
 
 def assert_same_cloud(expected, got):
@@ -61,6 +63,7 @@ def assert_same_cloud(expected, got):
     np.testing.assert_array_equal(
         expected.edge_agreement(), got.edge_agreement()
     )
+    np.testing.assert_array_equal(expected.edge_coside(), got.edge_coside())
     assert got.num_states == expected.num_states
     assert sorted(got.flip_counts()) == sorted(expected.flip_counts())
 
@@ -68,7 +71,7 @@ def assert_same_cloud(expected, got):
 class TestStoreEquivalence:
     @pytest.mark.parametrize("method", ["bfs", "swap"])
     def test_pool_matches_sequential(self, graph, store, method):
-        seq = sample_cloud(graph, num_states=12, method=method, seed=7)
+        seq = per_tree_cloud(graph, 12, 7, method)
         mem = sample_cloud_pool(
             graph, 12, workers=3, method=method, seed=7
         )
@@ -79,15 +82,15 @@ class TestStoreEquivalence:
         assert_same_cloud(seq, mapped)
 
     def test_sequential_off_the_mapping(self, store, sequential):
-        """The sequential engine run directly over memmap arrays is
-        bit-identical to the in-memory run."""
+        """A batch-size-1 campaign run directly over memmap arrays is
+        bit-identical to the in-memory per-tree cloud."""
         got = sample_cloud(store.graph(), num_states=12, seed=7)
         assert_same_cloud(sequential, got)
 
     def test_batched_engine_off_the_mapping(self, store, sequential):
         """The tree-batched engine over read-only memmap arrays: any
         in-place write would raise, and the result is bit-identical to
-        in-memory batch_size=1 (the batched contract)."""
+        the in-memory per-tree cloud (the batched contract)."""
         got = sample_cloud(store.graph(), num_states=12, seed=7,
                            batch_size=4)
         assert_same_cloud(sequential, got)

@@ -1,18 +1,46 @@
-"""Plain-Python reference traversals for the C-backed graph kernels.
+"""Reference implementations the package code must reproduce bit for bit.
 
-These are the frontier-loop component labeling and the DFS 2-coloring
-that :mod:`repro.graph.components` and :mod:`repro.harary.bipartition`
-once ran themselves.  They live here only as oracles: the package code
-must reproduce their outputs bit for bit.
+* The frontier-loop component labeling and the DFS 2-coloring that
+  :mod:`repro.graph.components` and :mod:`repro.harary.bipartition`
+  once ran themselves.
+* :func:`per_tree_cloud`, the frustration cloud built tree by tree with
+  no campaign code: the oracle every campaign mode is compared with.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
+from repro.cloud.cloud import FrustrationCloud
+from repro.core.balancer import balance
 from repro.errors import NotBalancedError
 from repro.graph.csr import SignedGraph
+from repro.trees.sampler import TreeSampler
 from repro.util.arrays import gather_adjacency
+
+
+def per_tree_cloud(
+    graph: SignedGraph,
+    states: int | Iterable[int],
+    seed: int,
+    method: str = "bfs",
+    kernel: str = "lockstep",
+    *,
+    store_states: bool = False,
+) -> FrustrationCloud:
+    """The cloud of tree indices *states* (an int ``n`` means
+    ``range(n)``), one tree at a time: ``TreeSampler.tree(i)``,
+    ``balance(kernel=...)``, and ``FrustrationCloud.add_result``, whose
+    Harary bipartition is the independent oracle.  No block executor,
+    batch, sign-to-root side or campaign spec is involved.
+    """
+    sampler = TreeSampler(graph, method=method, seed=seed)
+    cloud = FrustrationCloud(graph, store_states=store_states)
+    for i in range(states) if isinstance(states, int) else states:
+        cloud.add_result(balance(graph, sampler.tree(i), kernel=kernel))
+    return cloud
 
 
 def frontier_components(

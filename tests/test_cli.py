@@ -76,6 +76,19 @@ class TestCommands:
         path, _g = graph_file
         assert main(["cloud", path, "--states", "3", "--method", "dfs"]) == 0
 
+    def test_cloud_walk_kernel_matches_default(self, graph_file, tmp_path):
+        """The per-tree walk and the default kernel's batched engine
+        write the same CSV; a walk batch is refused."""
+        path, _g = graph_file
+        csvs = [tmp_path / "default.csv", tmp_path / "walk.csv"]
+        assert main(["cloud", path, "--states", "6", "--seed", "3",
+                     "--output", str(csvs[0])]) == 0
+        assert main(["cloud", path, "--states", "6", "--seed", "3",
+                     "--kernel", "walk", "--output", str(csvs[1])]) == 0
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+        assert main(["cloud", path, "--states", "6", "--kernel", "walk",
+                     "--batch-size", "2"]) == 1
+
     def test_stats_profile(self, graph_file, capsys):
         path, _g = graph_file
         assert main(["stats", path, "--profile"]) == 0
